@@ -46,20 +46,20 @@ int main() {
         std::pair{HeatMetric::kTimeSpace, "heat=M3 time-space"},
         std::pair{HeatMetric::kTimeSpacePerCost, "heat=M4 time-space/cost"}}) {
     core::SchedulerOptions options;
-    options.heat = metric;
+    options.sorp.heat = metric;
     add(name, bench::RunScheduler(params, options));
   }
 
   // B. Caching scope restrictions.
   {
     core::SchedulerOptions options;
-    options.ivsp.allow_remote_caching = false;
+    options.sorp.ivsp.allow_remote_caching = false;
     add("local-only cache placement", bench::RunScheduler(params, options));
   }
   {
     core::SchedulerOptions options;
-    options.ivsp.allow_remote_caching = false;
-    options.ivsp.allow_remote_cache_service = false;
+    options.sorp.ivsp.allow_remote_caching = false;
+    options.sorp.ivsp.allow_remote_cache_service = false;
     add("local-only placement+service", bench::RunScheduler(params, options));
   }
 
@@ -75,7 +75,7 @@ int main() {
   // D. No caching at all.
   {
     core::SchedulerOptions options;
-    options.ivsp.enable_caching = false;
+    options.sorp.ivsp.enable_caching = false;
     add("caching disabled", bench::RunScheduler(params, options));
   }
 

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -222,8 +223,8 @@ double SecondsOf(const std::function<void()>& work) {
 // algorithmic A/Bs.  This one is sized so phase 2 dominates visibly:
 // 64 intermediate storages x 312 users = 19968 reservations over a
 // 2000-title catalog, with capacity tight enough for a long multi-round
-// overflow resolution.  Used by `--baseline` (incremental vs. reference
-// engine timing) and `--smoke` (CI guard).
+// overflow resolution.  Used by `--baseline` (SORP timing) and `--smoke`
+// (CI guard).
 workload::Scenario MakeStressScenario() {
   const auto env_or = [](const char* name, double fallback) {
     const char* value = std::getenv(name);
@@ -286,9 +287,8 @@ workload::Scenario MakeStressScenario() {
 }
 
 // Phase-1 overcommits the 150GB tree several-fold, so a full resolution
-// would run for hundreds of rounds.  The A/B bounds both engines at the
-// same round budget instead — the comparison stays apples-to-apples and
-// the cap is recorded in the output.
+// would run for hundreds of rounds.  The timing bounds the loop at a fixed
+// round budget instead, recorded in the output, so runs stay comparable.
 constexpr std::size_t kStressMaxRounds = 16;
 
 struct StressRun {
@@ -298,11 +298,10 @@ struct StressRun {
 
 StressRun TimeSorpStress(const workload::Scenario& scenario,
                          const core::CostModel& cm,
-                         const core::Schedule& phase1, bool incremental,
+                         const core::Schedule& phase1,
                          obs::MetricsRegistry* registry = nullptr) {
   core::Schedule schedule = phase1;  // copied outside the timed region
   core::SorpOptions options;
-  options.incremental = incremental;
   options.max_iterations = kStressMaxRounds;
   options.metrics = registry;
   StressRun run;
@@ -321,21 +320,9 @@ util::Json RunSorpStressSection() {
     phase1 = core::IvspSolve(scenario.requests, cm, core::IvspOptions{});
   });
 
-  // Single-threaded A/B so the comparison isolates the algorithmic change
-  // (delta maintenance + memoization), not pool effects.
-  const StressRun reference =
-      TimeSorpStress(scenario, cm, phase1, /*incremental=*/false);
-  const StressRun incremental =
-      TimeSorpStress(scenario, cm, phase1, /*incremental=*/true);
-
-  util::JsonObject ref;
-  ref["seconds"] = reference.seconds;
-  ref["usage_rebuilds"] = reference.stats.usage_rebuilds;
-  util::JsonObject inc;
-  inc["seconds"] = incremental.seconds;
-  inc["usage_rebuilds"] = incremental.stats.usage_rebuilds;
-  inc["memo_hits"] = incremental.stats.memo_hits;
-  inc["memo_misses"] = incremental.stats.memo_misses;
+  // Single-threaded, so the timing measures the algorithm, not pool
+  // effects.
+  const StressRun run = TimeSorpStress(scenario, cm, phase1);
 
   util::JsonObject doc;
   doc["scenario"] = "64 IS x 312 users (19968 req), 2000 titles, 150GB IS";
@@ -346,14 +333,13 @@ util::Json RunSorpStressSection() {
   doc["files"] = phase1.files.size();
   doc["residencies"] = phase1.TotalResidencies();
   doc["ivsp_seconds"] = ivsp_seconds;
-  doc["rounds"] = incremental.stats.victims_rescheduled;
-  doc["evaluations"] = incremental.stats.evaluations;
-  doc["resolved"] = incremental.stats.Resolved();
-  doc["reference"] = util::Json(std::move(ref));
-  doc["incremental"] = util::Json(std::move(inc));
-  doc["speedup"] = incremental.seconds > 0.0
-                       ? reference.seconds / incremental.seconds
-                       : 0.0;
+  doc["seconds"] = run.seconds;
+  doc["rounds"] = run.stats.victims_rescheduled;
+  doc["evaluations"] = run.stats.evaluations;
+  doc["resolved"] = run.stats.Resolved();
+  doc["usage_rebuilds"] = run.stats.usage_rebuilds;
+  doc["memo_hits"] = run.stats.memo_hits;
+  doc["memo_misses"] = run.stats.memo_misses;
   return util::Json(std::move(doc));
 }
 
@@ -584,7 +570,7 @@ bool StreamingReplayRssCheck(std::string* detail) {
   return true;
 }
 
-/// CI smoke: one incremental stress solve; fails on metrics-schema drift
+/// CI smoke: one stress solve; fails on metrics-schema drift
 /// (a renamed/removed SORP counter) or a dead memo (zero hit-rate on a
 /// scenario built to produce hits).
 int RunSmoke() {
@@ -600,7 +586,7 @@ int RunSmoke() {
       core::IvspSolve(scenario.requests, cm, core::IvspOptions{});
   obs::MetricsRegistry registry;
   const StressRun run =
-      TimeSorpStress(scenario, cm, phase1, /*incremental=*/true, &registry);
+      TimeSorpStress(scenario, cm, phase1, &registry);
   const std::string metrics_json = registry.ToJson().Dump(2);
 
   int failures = 0;
@@ -616,7 +602,7 @@ int RunSmoke() {
               run.stats.evaluations,
           "hits + misses == evaluations");
   require(run.stats.usage_rebuilds == 1,
-          "incremental engine builds usage exactly once");
+          "SORP builds usage exactly once");
   for (const std::string key :
        {"sorp.rounds", "sorp.candidates_evaluated", "sorp.memo.hits",
         "sorp.memo.misses", "sorp.usage_rebuilds", "sorp.victims_rescheduled",
@@ -720,9 +706,11 @@ RegionRun TimeRegionSorp(const RegionScenario& scenario,
                          const core::Schedule& phase1, std::size_t regions,
                          std::size_t threads) {
   core::Schedule schedule = phase1;  // copied outside the timed region
+  std::unique_ptr<util::ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
   core::SorpOptions options;
   options.regions = regions;
-  options.parallel.threads = threads;
+  options.pool = pool.get();
   RegionRun run;
   run.seconds = SecondsOf([&] {
     run.stats = core::SorpSolve(schedule, scenario.requests, cm, options);

@@ -123,16 +123,18 @@ util::Result<SolveOutput> IncrementalSolve(
     } else if (reuse_from[i] != kReschedule) {
       out.schedule.files[i] = base->phase1.files[reuse_from[i]];
     } else {
-      out.schedule.files[i] =
-          ScheduleFileGreedy(groups[i].first, *merged_requests,
-                             groups[i].second, cm, scheduler.options().ivsp,
-                             nullptr);
+      out.schedule.files[i] = ScheduleFileGreedy(
+          groups[i].first, *merged_requests, groups[i].second, cm,
+          scheduler.options().sorp.ivsp, nullptr);
     }
   };
+  // One pool serves both phases, as in VorScheduler::Solve.
   std::unique_ptr<util::ThreadPool> pool;
-  if (scheduler.options().parallel.Resolve() > 1 && groups.size() > 1) {
+  if (scheduler.options().parallel.Resolve() > 1) {
     pool = std::make_unique<util::ThreadPool>(
         scheduler.options().parallel.Resolve());
+  }
+  if (pool != nullptr && groups.size() > 1) {
     pool->ParallelFor(groups.size(), fill_slot);
   } else {
     for (std::size_t i = 0; i < groups.size(); ++i) fill_slot(i);
@@ -161,13 +163,7 @@ util::Result<SolveOutput> IncrementalSolve(
 
   // Phase 2 runs on the merged schedule as usual: overflow interactions
   // are global, so no shortcut is sound there.
-  SorpOptions sorp_options;
-  sorp_options.heat = scheduler.options().heat;
-  sorp_options.ivsp = scheduler.options().ivsp;
-  sorp_options.max_iterations = scheduler.options().max_sorp_iterations;
-  sorp_options.incremental = scheduler.options().sorp_incremental;
-  sorp_options.regions = scheduler.options().sorp_regions;
-  sorp_options.parallel = scheduler.options().parallel;
+  SorpOptions sorp_options = scheduler.options().sorp;
   sorp_options.pool = pool.get();
   sorp_options.metrics = metrics;
   out.sorp = SorpSolve(out.schedule, *merged_requests, cm, sorp_options);

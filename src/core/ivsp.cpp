@@ -4,7 +4,6 @@
 #include <map>
 #include <cassert>
 #include <limits>
-#include <memory>
 
 #include "obs/metrics.hpp"
 #include "workload/generator.hpp"
@@ -299,11 +298,6 @@ Schedule IvspSolve(const std::vector<workload::Request>& requests,
   const auto groups = workload::GroupByVideo(requests);
   Schedule schedule;
   schedule.files.resize(groups.size());
-  std::unique_ptr<util::ThreadPool> owned_pool;
-  if (pool == nullptr && options.parallel.Resolve() > 1 && groups.size() > 1) {
-    owned_pool = std::make_unique<util::ThreadPool>(options.parallel.Resolve());
-    pool = owned_pool.get();
-  }
   // Per-file tallies/timings land in slot-indexed vectors and are folded
   // into the registry serially below, so counter values are identical at
   // any thread count (only the wall-clock observations vary).
@@ -338,7 +332,6 @@ Schedule IvspSolve(const std::vector<workload::Request>& requests,
     obs::Add(metrics, "ivsp.decision.new_cache", total.new_cache);
     obs::Add(metrics, "ivsp.candidates_evaluated", total.candidates);
     obs::Add(metrics, "ivsp.forced_direct", total.forced_direct);
-    if (owned_pool != nullptr) obs::ExportPoolTelemetry(metrics, *owned_pool);
   }
   return schedule;
 }

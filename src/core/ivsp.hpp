@@ -44,12 +44,6 @@ struct IvspOptions {
   bool allow_remote_caching = true;
   /// Allow serving a request from a cache in another neighborhood.
   bool allow_remote_cache_service = true;
-  /// Worker threads for the per-file fan-out of IvspSolve (phase 1 is
-  /// embarrassingly parallel by construction).  Only consulted when no
-  /// external pool is passed to IvspSolve; the per-file greedy itself
-  /// (ScheduleFileGreedy) is always sequential.  Output is identical at
-  /// any thread count.
-  util::ParallelOptions parallel{};
 };
 
 /// Decision/rejection tallies of one greedy run.  Collected inline (a few
@@ -132,7 +126,8 @@ struct ConstraintSet {
 ///
 /// Files are scheduled independently (the definition of phase 1), so the
 /// per-file greedies are embarrassingly parallel: pass a thread pool to
-/// shard them across cores.  Results are identical to the serial run.
+/// shard them across cores (null runs serially; the per-file greedy itself
+/// is always sequential).  Results are identical to the serial run.
 ///
 /// A non-null `metrics` registry receives the phase span ("ivsp"),
 /// per-file greedy timings, and aggregated decision counters; counter and

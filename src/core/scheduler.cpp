@@ -42,17 +42,11 @@ util::Result<SolveOutput> VorScheduler::Solve(
   if (options_.parallel.Resolve() > 1) {
     pool = std::make_unique<util::ThreadPool>(options_.parallel.Resolve());
   }
-  out.schedule =
-      IvspSolve(requests, cost_model_, options_.ivsp, pool.get(), metrics);
+  out.schedule = IvspSolve(requests, cost_model_, options_.sorp.ivsp,
+                           pool.get(), metrics);
   out.phase1_cost = cost_model_.TotalCost(out.schedule);
 
-  SorpOptions sorp_options;
-  sorp_options.heat = options_.heat;
-  sorp_options.ivsp = options_.ivsp;
-  sorp_options.max_iterations = options_.max_sorp_iterations;
-  sorp_options.incremental = options_.sorp_incremental;
-  sorp_options.regions = options_.sorp_regions;
-  sorp_options.parallel = options_.parallel;
+  SorpOptions sorp_options = options_.sorp;
   sorp_options.pool = pool.get();
   sorp_options.metrics = metrics;
   out.sorp = SorpSolve(out.schedule, requests, cost_model_, sorp_options);

@@ -27,27 +27,17 @@ class MetricsRegistry;
 namespace vor::core {
 
 struct SchedulerOptions {
-  HeatMetric heat = HeatMetric::kTimeSpacePerCost;
   PricingOptions pricing;
-  IvspOptions ivsp;
-  std::size_t max_sorp_iterations = 10000;
-  /// SORP engine selector (see SorpOptions::incremental): true (default)
-  /// runs the delta-maintained + memoized loop; false the rebuild-from-
-  /// scratch reference engine.  Schedule bytes are identical either way.
-  bool sorp_incremental = true;
-  /// SORP region sharding (see SorpOptions::regions): 1 (default) runs the
-  /// single global resolution loop; 0 = auto (one shard per route-closed
-  /// neighborhood cluster); N >= 2 coalesces the topology's natural
-  /// clusters to at most N before closure merging.  Shards resolve
-  /// concurrently on the shared pool and reconcile serially; the solved
-  /// schedule is byte-identical to the monolithic engine (DESIGN.md
-  /// "Region-sharded SORP").
-  std::size_t sorp_regions = 1;
+  /// Phase-2 knobs (heat metric, victim policy, iteration budget, region
+  /// sharding...); phase 1 reads `sorp.ivsp`.  Solve copies it and sets
+  /// `pool` and `metrics` itself.
+  SorpOptions sorp;
   /// Worker threads shared by both phases: phase 1's per-file greedies
-  /// and each SORP round's tentative victim evaluations fan out over one
-  /// pool (1 = serial, 0 = hardware concurrency, N = pool of N).  The
-  /// commit step stays serial and the victim reduction is deterministic,
-  /// so the solved schedule is byte-identical at any thread count.
+  /// and each SORP round's tentative victim evaluations (or, with region
+  /// sharding, its shards) fan out over one pool (1 = serial, 0 =
+  /// hardware concurrency, N = pool of N).  The commit step stays serial
+  /// and the victim reduction is deterministic, so the solved schedule is
+  /// byte-identical at any thread count.
   util::ParallelOptions parallel{};
   /// Optional caller-owned metrics sink (src/obs).  When set, Solve
   /// records the span hierarchy ("solve" -> "solve/ivsp" / "solve/sorp" /

@@ -9,7 +9,7 @@ namespace {
 double SolveWithMetric(const workload::Scenario& scenario, HeatMetric metric,
                        bool* overflowed, double* phase1) {
   SchedulerOptions options;
-  options.heat = metric;
+  options.sorp.heat = metric;
   const VorScheduler scheduler(scenario.topology, scenario.catalog, options);
   const auto result = scheduler.Solve(scenario.requests);
   // Scenario construction is validated upstream; a failure here is a bug.

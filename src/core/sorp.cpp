@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -85,36 +84,21 @@ SorpStats RunSorpLoop(Schedule& schedule,
                       bool round_spans) {
   SorpStats stats;
   const bool hooks_serial = HooksSerial(options);
-  const bool incremental = options.incremental;
-  const bool memoize = incremental && !hooks_serial;
+  const bool memoize = !hooks_serial;
 
-  // Aggregate usage: either delta-maintained (built once, diffed on every
-  // commit) or rebuilt from scratch each time (reference engine).  Both
-  // yield identical per-node piece sequences — the tracker maintains the
-  // canonical ascending-tag order a fresh build produces.
-  std::optional<storage::UsageTracker> tracker;
-  storage::UsageMap rebuilt;
-  if (incremental) {
-    if (shard_files != nullptr) {
-      tracker.emplace(schedule, cost_model, *shard_files);
-    } else {
-      tracker.emplace(schedule, cost_model);
-    }
-  } else {
-    rebuilt = shard_files != nullptr
-                  ? storage::BuildUsageForFiles(schedule, cost_model,
-                                                *shard_files)
-                  : storage::BuildUsage(schedule, cost_model);
-  }
+  // Aggregate usage, built once and diffed on every commit.  The tracker
+  // keeps the canonical ascending-tag piece order a fresh BuildUsage
+  // produces.
+  storage::UsageTracker tracker =
+      shard_files != nullptr
+          ? storage::UsageTracker(schedule, cost_model, *shard_files)
+          : storage::UsageTracker(schedule, cost_model);
   ++stats.usage_rebuilds;
-  const auto current_usage = [&]() -> const storage::UsageMap& {
-    return incremental ? tracker->usage() : rebuilt;
-  };
 
   std::vector<OverflowWindow> overflows =
-      DetectOverflowsIn(current_usage(), cost_model.topology());
+      DetectOverflowsIn(tracker.usage(), cost_model.topology());
   stats.initial_overflow_windows = overflows.size();
-  stats.initial_excess = TotalExcess(current_usage(), cost_model.topology());
+  stats.initial_excess = TotalExcess(tracker.usage(), cost_model.topology());
   double excess = stats.initial_excess;
   obs::Add(metrics, "sorp.initial_overflow_windows", overflows.size());
   if (metrics != nullptr && !overflows.empty()) {
@@ -128,23 +112,12 @@ SorpStats RunSorpLoop(Schedule& schedule,
   const auto evaluate = [&](const SorpCandidate& c) -> Evaluation {
     const obs::Stopwatch watch;
     // The backdrop the victim must fit into: all other files' usage.  The
-    // subtractive view copies only the nodes hosting the victim; the
-    // reference engine rebuilds the whole map from scratch.  A default
-    // view (capacity-unaware ablation) enforces the static height check
-    // only, exactly like the empty UsageMap it replaces.
-    storage::UsageMap scratch;
+    // subtractive view copies only the nodes hosting the victim.  A
+    // default view (capacity-unaware ablation) enforces the static height
+    // check only.
     storage::UsageView other;
     if (options.capacity_aware_reschedule) {
-      if (incremental) {
-        other = tracker->ExcludingFile(c.file_index);
-      } else {
-        scratch = shard_files != nullptr
-                      ? storage::BuildUsageForFiles(schedule, cost_model,
-                                                    *shard_files, c.file_index)
-                      : storage::BuildUsageExcludingFile(schedule, cost_model,
-                                                         c.file_index);
-        other = storage::UsageView(&scratch);
-      }
+      other = tracker.ExcludingFile(c.file_index);
     }
     RescheduleResult attempt = RescheduleVictim(
         schedule, c.file_index, requests, cost_model, options.ivsp,
@@ -190,7 +163,7 @@ SorpStats RunSorpLoop(Schedule& schedule,
         if (it != memo.end()) {
           hit = true;
           for (const auto& [node, gen] : it->second.consulted_gens) {
-            if (tracker->NodeGeneration(node) != gen) {
+            if (tracker.NodeGeneration(node) != gen) {
               hit = false;
               break;
             }
@@ -237,7 +210,7 @@ SorpStats RunSorpLoop(Schedule& schedule,
         entry.eval = evals[i];
         entry.consulted_gens.reserve(evals[i].consulted.size());
         for (const net::NodeId node : evals[i].consulted) {
-          entry.consulted_gens.emplace_back(node, tracker->NodeGeneration(node));
+          entry.consulted_gens.emplace_back(node, tracker.NodeGeneration(node));
         }
         memo.insert_or_assign(KeyOf(candidates[i]), std::move(entry));
       }
@@ -306,30 +279,18 @@ SorpStats RunSorpLoop(Schedule& schedule,
       }
     }
 
-    if (incremental) {
-      // O(victim residencies) diff: swap the victim's old pieces for its
-      // new ones and bump the touched nodes' generations.
-      tracker->ApplyCommit(victim, schedule.files[victim]);
-    } else {
-      rebuilt = shard_files != nullptr
-                    ? storage::BuildUsageForFiles(schedule, cost_model,
-                                                  *shard_files)
-                    : storage::BuildUsage(schedule, cost_model);
-      ++stats.usage_rebuilds;
-      // The reference engine also rebuilt the backdrop once per dry run.
-      if (options.capacity_aware_reschedule) {
-        stats.usage_rebuilds += to_run.size();
-      }
-    }
-    overflows = DetectOverflowsIn(current_usage(), cost_model.topology());
+    // O(victim residencies) diff: swap the victim's old pieces for its new
+    // ones and bump the touched nodes' generations.
+    tracker.ApplyCommit(victim, schedule.files[victim]);
+    overflows = DetectOverflowsIn(tracker.usage(), cost_model.topology());
     const double new_excess =
-        TotalExcess(current_usage(), cost_model.topology());
+        TotalExcess(tracker.usage(), cost_model.topology());
     obs::Append(metrics, "sorp.excess_trajectory", new_excess);
     if (new_excess >= excess) break;  // defensive: no progress
     excess = new_excess;
   }
 
-  stats.final_excess = TotalExcess(current_usage(), cost_model.topology());
+  stats.final_excess = TotalExcess(tracker.usage(), cost_model.topology());
   obs::Add(metrics, "sorp.victims_rescheduled", stats.victims_rescheduled);
   obs::Add(metrics, "sorp.usage_rebuilds", stats.usage_rebuilds);
   return stats;
@@ -513,11 +474,6 @@ SorpStats RegionShardedSolve(Schedule& schedule,
   obs::Add(metrics, "sorp.regions.cross_files", plan.cross_files);
 
   util::ThreadPool* pool = options.pool;
-  std::unique_ptr<util::ThreadPool> owned_pool;
-  if (pool == nullptr && options.parallel.Resolve() > 1) {
-    owned_pool = std::make_unique<util::ThreadPool>(options.parallel.Resolve());
-    pool = owned_pool.get();
-  }
 
   // Phase A: per-shard resolution.  Each shard owns its tracker, overlay
   // caches, memo table, and (when observability is on) a private metrics
@@ -604,7 +560,6 @@ SorpStats RegionShardedSolve(Schedule& schedule,
   }
 
   stats.cost_after = cost_model.TotalCost(schedule);
-  if (owned_pool != nullptr) obs::ExportPoolTelemetry(metrics, *owned_pool);
   if (metrics != nullptr && !stats.Resolved()) {
     obs::Add(metrics, "sorp.unresolved_runs");
   }
@@ -647,34 +602,22 @@ std::vector<SorpCandidate> CollectSorpCandidates(
 SorpStats SorpSolve(Schedule& schedule,
                     const std::vector<workload::Request>& requests,
                     const CostModel& cost_model, const SorpOptions& options) {
-  const bool hooks_serial = HooksSerial(options);
-
   // The region engine requires commit commutativity (kMaxHeat's reduction
   // is per-shard deterministic) and hook-free dry runs; otherwise fall
   // back to the global loop, which handles every configuration.
-  if (options.regions != 1 && !hooks_serial &&
+  if (options.regions != 1 && !HooksSerial(options) &&
       options.victim_policy == VictimPolicy::kMaxHeat) {
     return RegionShardedSolve(schedule, requests, cost_model, options);
   }
 
   obs::MetricsRegistry* metrics = options.metrics;
   const obs::ScopedSpan span(metrics, "sorp");
-  SorpStats stats_header;
-  stats_header.cost_before = cost_model.TotalCost(schedule);
-
-  util::ThreadPool* pool = options.pool;
-  std::unique_ptr<util::ThreadPool> owned_pool;
-  if (pool == nullptr && !hooks_serial && options.parallel.Resolve() > 1) {
-    owned_pool = std::make_unique<util::ThreadPool>(options.parallel.Resolve());
-    pool = owned_pool.get();
-  }
-
+  const util::Money cost_before = cost_model.TotalCost(schedule);
   SorpStats stats =
-      RunSorpLoop(schedule, requests, cost_model, options, pool, metrics,
-                  /*shard_files=*/nullptr, /*round_spans=*/true);
-  stats.cost_before = stats_header.cost_before;
+      RunSorpLoop(schedule, requests, cost_model, options, options.pool,
+                  metrics, /*shard_files=*/nullptr, /*round_spans=*/true);
+  stats.cost_before = cost_before;
   stats.cost_after = cost_model.TotalCost(schedule);
-  if (owned_pool != nullptr) obs::ExportPoolTelemetry(metrics, *owned_pool);
   if (metrics != nullptr && !stats.Resolved()) {
     obs::Add(metrics, "sorp.unresolved_runs");
   }

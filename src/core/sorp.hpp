@@ -4,6 +4,16 @@
 // one, tentatively reschedule its file with the rejective greedy; compute
 // the heat of that rescheduling; commit the single hottest victim; repeat
 // until the integrated schedule is overflow free.
+//
+// The aggregate usage is delta-maintained (storage::UsageTracker: built
+// once, each commit applies an O(victim residencies) diff) and dry runs
+// are memoized across rounds (a cached result is replayed iff its file is
+// not the last victim, its overflow window is unchanged, and no node the
+// run consulted has been touched by a commit since).  Memoization is off
+// when any extension hook is set: hooks mutate external tracker state
+// between rounds, which the memo cannot see.  The golden tests compare
+// this engine with a serial rebuild-from-scratch oracle
+// (tests/sorp_reference.hpp).
 #pragma once
 
 #include <cstddef>
@@ -33,6 +43,9 @@ enum class VictimPolicy : std::uint8_t {
   kFirstContributor,
 };
 
+/// SORP's knobs.  SchedulerOptions embeds one as `sorp`; the scheduler
+/// entry points copy it and fill in only `pool`, `metrics` and (the
+/// bandwidth extension) the hooks.
 struct SorpOptions {
   HeatMetric heat = HeatMetric::kTimeSpacePerCost;  // M4: best in the paper
   VictimPolicy victim_policy = VictimPolicy::kMaxHeat;
@@ -42,24 +55,12 @@ struct SorpOptions {
   /// failure mode the paper's design avoids.  The loop still terminates
   /// (progress guard), but may leave residual overflows.
   bool capacity_aware_reschedule = true;
+  /// Greedy options of every rejective reschedule; the schedulers' phase 1
+  /// reads the same field.
   IvspOptions ivsp;
   /// Hard stop for the resolution loop; the loop also stops on its own
   /// when the total excess fails to decrease (defensive, should not fire).
   std::size_t max_iterations = 10000;
-
-  /// Engine selector.  true (default): delta-maintained usage timelines
-  /// (storage::UsageTracker — the aggregate is built once and each commit
-  /// applies an O(victim residencies) diff) plus cross-round memoization
-  /// of dry-run evaluations (a cached result is replayed iff its file is
-  /// not the last victim, its overflow window is unchanged, and no node
-  /// the run consulted has been touched by a commit since).  false:
-  /// rebuild-from-scratch reference engine (BuildUsage per commit,
-  /// BuildUsageExcludingFile per dry run, no memo).  Both engines produce
-  /// byte-identical schedules at any thread count; the reference is
-  /// retained for golden tests and A/B timing.  Memoization is disabled
-  /// automatically when any extension hook is set (hooks mutate external
-  /// tracker state between rounds, which the memo cannot see).
-  bool incremental = true;
 
   /// Region-sharded resolution (the million-user scale-out).  1 (default)
   /// runs the single global loop.  0 = auto: one shard per route-closed
@@ -83,19 +84,16 @@ struct SorpOptions {
   std::size_t regions = 1;
 
   // ---- parallelism ----------------------------------------------------
-  /// Each round's tentative victim evaluations (one rejective-greedy dry
-  /// run per overflow contributor, all against the same frozen integrated
-  /// schedule) are independent and fan out over a thread pool; the commit
-  /// step stays serial and the victim is reduced with a deterministic
-  /// tie-break (max heat, then smallest file index, then discovery
-  /// order), so the victim sequence — and the final schedule bytes — are
-  /// identical at any thread count.  Evaluations degrade to serial when
-  /// any of the extension hooks below is set (they mutate external
-  /// tracker state and are not thread-safe).
-  util::ParallelOptions parallel{};
-  /// Optional externally owned pool (shared with phase 1); when null and
-  /// `parallel` resolves to more than one thread, SorpSolve builds its
-  /// own.
+  /// Optional caller-owned pool; null runs serially.  Each round's
+  /// tentative victim evaluations (one rejective-greedy dry run per
+  /// overflow contributor, all against the same frozen integrated
+  /// schedule) are independent and fan out over it, as do the region
+  /// engine's shards; the commit step stays serial and the victim is
+  /// reduced with a deterministic tie-break (max heat, then smallest file
+  /// index, then discovery order), so the victim sequence — and the final
+  /// schedule bytes — are identical at any thread count.  Evaluations
+  /// degrade to serial when any of the extension hooks below is set (they
+  /// mutate external tracker state and are not thread-safe).
   util::ThreadPool* pool = nullptr;
 
   // ---- extension hooks (src/ext) -------------------------------------
@@ -149,16 +147,17 @@ struct SorpStats {
   /// Victims rescheduled (committed, not tentative evaluations).
   std::size_t victims_rescheduled = 0;
   /// Tentative rejective-greedy evaluations considered (memo hits and
-  /// real dry runs alike — the candidate count, identical across engines).
+  /// real dry runs alike — the candidate count).
   std::size_t evaluations = 0;
   /// Cross-round memoization outcome split: evaluations served from cache
-  /// vs. actually re-run.  hits + misses == evaluations when memoization
-  /// is active; both zero on the reference engine and under hooks.
+  /// vs. actually re-run.  hits + misses == evaluations, except under
+  /// extension hooks, which switch memoization off (both zero).
   std::size_t memo_hits = 0;
   std::size_t memo_misses = 0;
-  /// Full-aggregate usage builds performed (UsageTracker construction or
-  /// BuildUsage/BuildUsageExcludingFile calls).  O(1) on the incremental
-  /// engine vs. O(rounds × candidates) on the reference engine.
+  /// Full-aggregate usage builds (UsageTracker constructions): one per
+  /// resolution loop — one on the monolithic engine, one per shard plus
+  /// one for the residual pass on the region engine.  Commits are applied
+  /// as diffs and never rebuild.
   std::size_t usage_rebuilds = 0;
   /// Shards the region engine resolved concurrently (0 on the monolithic
   /// engine; 1 means the region engine ran but closure merging collapsed

@@ -165,8 +165,8 @@ util::Result<BandwidthSolveOutput> BandwidthAwareScheduler::Solve(
       // this implicitly; re-check after the fact.
       core::GreedyStats file_stats;
       core::FileSchedule file = core::ScheduleFileGreedy(
-          video, requests, indices, cost_model_, options_.ivsp, &constraints,
-          metrics != nullptr ? &file_stats : nullptr);
+          video, requests, indices, cost_model_, options_.sorp.ivsp,
+          &constraints, metrics != nullptr ? &file_stats : nullptr);
       phase1_greedy += file_stats;
       out.schedule.files.push_back(std::move(file));
     }
@@ -184,10 +184,8 @@ util::Result<BandwidthSolveOutput> BandwidthAwareScheduler::Solve(
   out.phase1_cost = cost_model_.TotalCost(out.schedule);
 
   // ---- Phase 2: storage overflow resolution with bandwidth admission --
-  core::SorpOptions sorp;
-  sorp.heat = options_.heat;
-  sorp.ivsp = options_.ivsp;
-  sorp.max_iterations = options_.max_sorp_iterations;
+  // The hooks force the serial monolithic loop, so no pool is needed.
+  core::SorpOptions sorp = options_.sorp;
   sorp.route_ok = [&tracker](const std::vector<net::NodeId>& route,
                              util::Seconds t, media::VideoId v) {
     return tracker.RouteFeasible(route, t, v);

@@ -364,6 +364,11 @@ util::Status WriteFile(const std::string& path, const std::string& contents) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return util::Internal("cannot write " + path);
   out << contents;
+  // A full disk or short write fails the stream here or, once the buffer
+  // is flushed, at close().
+  if (!out) return util::Internal("write failed: " + path);
+  out.close();
+  if (!out) return util::Internal("write failed on close: " + path);
   return util::Status::Ok();
 }
 

@@ -46,6 +46,9 @@ namespace vor::io {
 // ---- files ---------------------------------------------------------------
 
 [[nodiscard]] util::Result<std::string> ReadFile(const std::string& path);
+/// Truncates and writes `path`; an error when the open, the write or the
+/// final flush fails (e.g. a full disk).  Not atomic: a failed write
+/// leaves a partial file.
 [[nodiscard]] util::Status WriteFile(const std::string& path,
                                      const std::string& contents);
 

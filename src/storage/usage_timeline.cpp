@@ -45,25 +45,6 @@ UsageMap BuildUsageExcludingFile(const core::Schedule& schedule,
   return BuildUsageImpl(schedule, cost_model, excluded_file);
 }
 
-UsageMap BuildUsageForFiles(const core::Schedule& schedule,
-                            const core::CostModel& cost_model,
-                            const std::vector<std::size_t>& files,
-                            std::size_t excluded_file) {
-  UsageMap usage;
-  // Ascending file order (the caller's contract) keeps every node's piece
-  // vector in canonical ascending-tag order, exactly like a full build.
-  for (const std::size_t f : files) {
-    if (f == excluded_file || f >= schedule.files.size()) continue;
-    const core::FileSchedule& file = schedule.files[f];
-    for (std::size_t r = 0; r < file.residencies.size(); ++r) {
-      const core::Residency& c = file.residencies[r];
-      const core::ResidencyRef ref{f, r};
-      usage[c.location].Add(cost_model.OccupancyPiece(c, ref.Pack()));
-    }
-  }
-  return usage;
-}
-
 double PeakUsage(const UsageMap& usage, net::NodeId node) {
   const auto it = usage.find(node);
   return it == usage.end() ? 0.0 : it->second.Max();
@@ -129,8 +110,8 @@ UsageTracker::UsageTracker(const core::Schedule& schedule,
                            const core::CostModel& cost_model,
                            const std::vector<std::size_t>& files)
     : cost_model_(&cost_model), file_nodes_(schedule.files.size()) {
-  // Subset aggregation in ascending file order — matches BuildUsageForFiles
-  // piece for piece.  file_nodes_ stays indexed by global file index;
+  // Subset aggregation in ascending file order keeps the canonical
+  // ascending-tag piece order of a full build.  file_nodes_ stays indexed by global file index;
   // non-subset entries are empty, so ExcludingFile on them degenerates to
   // the plain aggregate view.
   for (const std::size_t f : files) {

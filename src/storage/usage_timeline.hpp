@@ -4,14 +4,15 @@
 // residency's occupancy profile at its IS; capacity violations of that sum
 // are the paper's Storage Overflow situations.
 //
-// Two maintenance strategies coexist:
-//   * BuildUsage / BuildUsageExcludingFile — rebuild from scratch, O(total
-//     residencies).  Retained as the reference path for golden tests.
-//   * UsageTracker — builds the aggregate once and then applies commit
-//     diffs in O(victim residencies), serving "usage excluding file f" as
-//     a subtractive UsageView without touching other files' pieces.  The
-//     piece tags (ResidencyRef::Pack()) index every piece back to its
-//     (file, residency), which is what makes the subtraction exact.
+// storage::UsageTracker maintains that sum for the SORP loop: it builds
+// the aggregate once, then applies commit diffs in O(victim residencies)
+// and serves "usage excluding file f" as a subtractive UsageView without
+// touching other files' pieces.  The piece tags (ResidencyRef::Pack())
+// index every piece back to its (file, residency), which is what makes
+// the subtraction exact.  BuildUsage / BuildUsageExcludingFile rebuild
+// from scratch in O(total residencies); they serve one-shot callers
+// (validator, overflow detection, reports) and the tests that check the
+// tracker against a fresh build.
 #pragma once
 
 #include <cstdint>
@@ -40,17 +41,6 @@ using UsageMap = std::unordered_map<net::NodeId, util::PiecewiseLinear>;
 [[nodiscard]] UsageMap BuildUsageExcludingFile(const core::Schedule& schedule,
                                                const core::CostModel& cost_model,
                                                std::size_t excluded_file);
-
-/// Aggregate usage of a file subset only (region-sharded SORP: each shard
-/// tracks just its own files, so concurrent shards never read another
-/// shard's residencies).  `files` must be sorted ascending — iteration in
-/// file order is what keeps the canonical ascending-tag piece order.  An
-/// `excluded_file` (optional) is skipped, mirroring
-/// BuildUsageExcludingFile for the shard-restricted reference engine.
-[[nodiscard]] UsageMap BuildUsageForFiles(
-    const core::Schedule& schedule, const core::CostModel& cost_model,
-    const std::vector<std::size_t>& files,
-    std::size_t excluded_file = static_cast<std::size_t>(-1));
 
 /// Peak reserved bytes at a node (0 when the node has no residencies).
 [[nodiscard]] double PeakUsage(const UsageMap& usage, net::NodeId node);
@@ -112,8 +102,9 @@ class UsageTracker {
   UsageTracker(const core::Schedule& schedule, const core::CostModel& cost_model);
 
   /// File-subset tracker (region-sharded SORP): aggregates only `files`
-  /// (sorted ascending).  Equivalent to BuildUsageForFiles; ApplyCommit /
-  /// ExcludingFile still take global file indices, and indices outside the
+  /// (sorted ascending), iterated in that order so every node keeps the
+  /// canonical ascending-tag piece order.  ApplyCommit / ExcludingFile
+  /// still take global file indices, and indices outside the
   /// subset simply have no pieces.  Concurrent shard trackers over
   /// disjoint subsets never touch each other's state.
   UsageTracker(const core::Schedule& schedule, const core::CostModel& cost_model,

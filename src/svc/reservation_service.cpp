@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -14,6 +15,12 @@
 namespace vor::svc {
 
 namespace {
+
+/// Arrival stamps order the close's drain sort, so they must be finite
+/// (NaN breaks the strict weak order) and non-negative.
+bool ValidArrival(util::Seconds arrival) {
+  return std::isfinite(arrival.value()) && arrival.value() >= 0.0;
+}
 
 /// Why an admitted candidate was pushed back, for the svc.admit.*
 /// counter split.
@@ -223,15 +230,18 @@ util::Status ReservationService::ValidateRequest(
   if (!topology_->IsStorage(request.neighborhood)) {
     return util::InvalidArgument("neighborhood is not an intermediate storage");
   }
-  if (request.start_time.value() < 0.0) {
-    return util::InvalidArgument("negative start time");
+  // Written so NaN fails too: start times feed ReplayOrderLess, whose
+  // strict weak order the close's sort relies on.
+  if (!std::isfinite(request.start_time.value()) ||
+      request.start_time.value() < 0.0) {
+    return util::InvalidArgument("start time is negative or not finite");
   }
   return util::Status::Ok();
 }
 
 SubmitOutcome ReservationService::Submit(const workload::Request& request,
                                          util::Seconds arrival) {
-  if (!ValidateRequest(request).ok() || arrival.value() < 0.0) {
+  if (!ValidateRequest(request).ok() || !ValidArrival(arrival)) {
     obs::Add(config_.metrics, "svc.submit.rejected_invalid");
     return SubmitOutcome::kRejectedInvalid;
   }
@@ -733,14 +743,14 @@ util::Status ReservationService::Restore(const ServiceSnapshot& snapshot) {
   for (const workload::Request& r : snapshot.committed) {
     if (const util::Status s = ValidateRequest(r); !s.ok()) return s.error();
   }
-  for (const StampedRequest& s : snapshot.deferred) {
-    if (const util::Status st = ValidateRequest(s.request); !st.ok()) {
-      return st.error();
-    }
-  }
-  for (const StampedRequest& s : snapshot.pending) {
-    if (const util::Status st = ValidateRequest(s.request); !st.ok()) {
-      return st.error();
+  for (const auto* stamped : {&snapshot.deferred, &snapshot.pending}) {
+    for (const StampedRequest& s : *stamped) {
+      if (const util::Status st = ValidateRequest(s.request); !st.ok()) {
+        return st.error();
+      }
+      if (!ValidArrival(s.arrival)) {
+        return util::InvalidArgument("arrival is negative or not finite");
+      }
     }
   }
   // The committed schedule must itself be a legal plan for the committed

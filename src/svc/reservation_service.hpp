@@ -97,7 +97,8 @@ enum class SubmitOutcome : std::uint8_t {
   kAccepted,
   /// Shard full; parked in the bounded spill queue, drained next close.
   kDeferred,
-  /// Unknown video / non-storage neighborhood / negative times.
+  /// Unknown video / non-storage neighborhood / negative or non-finite
+  /// times.
   kRejectedInvalid,
   /// Shard and spill both full — the caller should slow down.
   kRejectedBackpressure,

@@ -32,7 +32,8 @@ namespace vor::workload {
     const std::string& text);
 
 /// Validates a trace against an environment: video ids must be in the
-/// catalog, neighborhoods must be storage nodes, times non-negative.
+/// catalog, neighborhoods must be storage nodes, start times finite and
+/// non-negative.
 [[nodiscard]] util::Status ValidateTrace(
     const std::vector<Request>& requests, const net::Topology& topology,
     const media::Catalog& catalog);

@@ -1,0 +1,30 @@
+// Test oracle for SORP: the paper's Table-3 loop written as plainly as
+// possible — serial, no memoization, the whole usage aggregate rebuilt
+// from scratch after every commit and the backdrop of every dry run rebuilt
+// without the candidate file.  It shares the building blocks of the
+// production engine (candidate collection, the rejective reschedule, the
+// heat metrics, overflow detection) but none of its loop code, so the
+// golden suites can hold core::SorpSolve's schedule bytes and statistics
+// against it.
+#pragma once
+
+#include <vector>
+
+#include "core/cost_model.hpp"
+#include "core/schedule.hpp"
+#include "core/sorp.hpp"
+#include "workload/request.hpp"
+
+namespace vor::core::reference {
+
+/// Resolves storage overflows in place, reading only `heat`,
+/// `victim_policy`, `capacity_aware_reschedule`, `ivsp` and
+/// `max_iterations` from `options` (regions, pool, hooks and metrics are
+/// ignored).  Fills victims_rescheduled, evaluations,
+/// initial_overflow_windows, the excesses and the costs of the returned
+/// stats; the engine-internal counters stay zero.
+SorpStats SorpSolve(Schedule& schedule,
+                    const std::vector<workload::Request>& requests,
+                    const CostModel& cost_model, const SorpOptions& options);
+
+}  // namespace vor::core::reference

@@ -19,6 +19,10 @@ struct Family {
   Topology (*make)(const GeneratorParams&);
 };
 
+// gtest would otherwise print the raw pointer bytes, which change with
+// every load address and make the listed test names differ run to run.
+void PrintTo(const Family& family, std::ostream* os) { *os << family.name; }
+
 Topology MakeTree3(const GeneratorParams& p) { return MakeTreeTopology(p, 3); }
 Topology MakeGeo3(const GeneratorParams& p) {
   return MakeGeometricTopology(p, 3);

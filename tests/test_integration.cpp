@@ -18,7 +18,7 @@ double SolveCost(const workload::ScenarioParams& params,
                  bool enable_caching = true) {
   const workload::Scenario scenario = workload::MakeScenario(params);
   core::SchedulerOptions options;
-  options.ivsp.enable_caching = enable_caching;
+  options.sorp.ivsp.enable_caching = enable_caching;
   core::VorScheduler scheduler(scenario.topology, scenario.catalog, options);
   const auto result = scheduler.Solve(scenario.requests);
   EXPECT_TRUE(result.ok());

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -367,6 +368,30 @@ TEST(RpcServerTest, SubmitStatusCycleRoundTrip) {
   ASSERT_TRUE(after->first);
   EXPECT_EQ(after->second.cycle, stats->cycle);
   EXPECT_EQ(after->second.committed_total, stats->committed_total);
+}
+
+TEST(RpcServerTest, NonFiniteTimesRejectedInvalid) {
+  // A submit frame carries raw f64s, so NaN and infinities reach the
+  // service intact; they must be refused, not queued for the close's sort.
+  LoopbackServer loopback;
+  Client client = loopback.MakeClient();
+  const workload::Request ok = loopback.scenario.requests.front();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double start : {nan, inf}) {
+    workload::Request bad = ok;
+    bad.start_time = util::Seconds{start};
+    const auto outcome = client.Submit(bad, ok.start_time);
+    ASSERT_TRUE(outcome.ok()) << outcome.error().message;
+    EXPECT_EQ(*outcome, svc::SubmitOutcome::kRejectedInvalid);
+  }
+  const auto bad_arrival = client.Submit(ok, util::Seconds{nan});
+  ASSERT_TRUE(bad_arrival.ok()) << bad_arrival.error().message;
+  EXPECT_EQ(*bad_arrival, svc::SubmitOutcome::kRejectedInvalid);
+
+  const auto status = client.Status();
+  ASSERT_TRUE(status.ok()) << status.error().message;
+  EXPECT_EQ(status->pending, 0u);
 }
 
 TEST(RpcServerTest, MalformedBytesGetErrorFrameThenClose) {

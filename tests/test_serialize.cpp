@@ -151,6 +151,9 @@ TEST(SerializeTest, FileHelpers) {
   EXPECT_EQ(*text, "{\"x\": 1}");
   std::remove(path.c_str());
   EXPECT_FALSE(ReadFile(path + ".does-not-exist").ok());
+  // A device that is always full: the open succeeds, the write does not,
+  // and the failure must be reported rather than swallowed.
+  EXPECT_FALSE(WriteFile("/dev/full", "{\"x\": 1}").ok());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -132,7 +133,7 @@ TEST(ServiceDeterminism, ByteIdenticalWhenAdmissionDefers) {
   const workload::Scenario scenario = SmallScenario(2.0);
   svc::ServiceConfig config;
   config.shards = 4;
-  config.scheduler.max_sorp_iterations = 1;
+  config.scheduler.sorp.max_iterations = 1;
   const std::string one = ReplayThroughService(scenario, 1, 2, config);
   const std::string two = ReplayThroughService(scenario, 2, 2, config);
   const std::string eight = ReplayThroughService(scenario, 8, 2, config);
@@ -173,14 +174,14 @@ std::vector<workload::Request> OverflowRequests() {
 }
 
 TEST(ServiceAdmission, NeverCommitsOverflowEvenWithSorpDisabled) {
-  // With max_sorp_iterations = 0 the solver cannot fix overflows itself,
+  // With sorp.max_iterations = 0 the solver cannot fix overflows itself,
   // so only admission control stands between phase 1 and the committed
   // schedule.
   const net::Topology topo = OverflowTopology();
   const media::Catalog catalog = TwoHotVideos();
 
   svc::ServiceConfig config;
-  config.scheduler.max_sorp_iterations = 0;
+  config.scheduler.sorp.max_iterations = 0;
   obs::MetricsRegistry metrics;
   config.metrics = &metrics;
   svc::ReservationService service(topo, catalog, config);
@@ -299,6 +300,14 @@ TEST(ServiceSnapshot, RejectsForeignOrCorruptSnapshots) {
   svc::ServiceSnapshot unserved;
   unserved.committed.push_back(workload::Request{0, 0, util::Hours(1.0), 1});
   EXPECT_FALSE(service.Restore(unserved).ok());
+
+  // Pending and deferred arrivals order the next close's sort; a NaN one
+  // must be refused like it is at Submit.
+  svc::ServiceSnapshot nan_arrival;
+  nan_arrival.pending.push_back(svc::StampedRequest{
+      workload::Request{0, 0, util::Hours(1.0), 1},
+      util::Seconds{std::numeric_limits<double>::quiet_NaN()}, 0});
+  EXPECT_FALSE(service.Restore(nan_arrival).ok());
 }
 
 TEST(ServiceIntake, BackpressureAndInvalidOutcomes) {
@@ -317,6 +326,17 @@ TEST(ServiceIntake, BackpressureAndInvalidOutcomes) {
       0, 0, util::Hours(1.0),
       static_cast<net::NodeId>(scenario.topology.node_count() + 7)};
   EXPECT_EQ(service.Submit(bad_node, util::Seconds{0.0}),
+            svc::SubmitOutcome::kRejectedInvalid);
+  // Non-finite times: a NaN start would break the close's canonical sort.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double start : {nan, inf}) {
+    const workload::Request bad_start{0, 0, util::Seconds{start}, 1};
+    EXPECT_EQ(service.Submit(bad_start, util::Seconds{0.0}),
+              svc::SubmitOutcome::kRejectedInvalid);
+  }
+  EXPECT_EQ(service.Submit(workload::Request{0, 0, util::Hours(1.0), 1},
+                           util::Seconds{nan}),
             svc::SubmitOutcome::kRejectedInvalid);
 
   const workload::Request ok{0, 0, util::Hours(1.0), 1};
@@ -368,7 +388,7 @@ TEST(ServiceIntake, ExpiredDeferralsAreDropped) {
   const media::Catalog catalog = TwoHotVideos();
 
   svc::ServiceConfig config;
-  config.scheduler.max_sorp_iterations = 0;
+  config.scheduler.sorp.max_iterations = 0;
   config.max_deferrals = 0;  // one strike
   svc::ReservationService service(topo, catalog, config);
   for (const workload::Request& r : OverflowRequests()) {
@@ -468,7 +488,7 @@ TEST(ServiceSpeculation, ByteIdenticalUnderAdmissionPressure) {
   const workload::Scenario scenario = SmallScenario(2.0);
   svc::ServiceConfig config;
   config.shards = 4;
-  config.scheduler.max_sorp_iterations = 1;
+  config.scheduler.sorp.max_iterations = 1;
   const std::string golden = ReplayThroughService(scenario, 1, 2, config);
   for (const SpecMode mode :
        {SpecMode::kHit, SpecMode::kMidWindow, SpecMode::kForcedFallback}) {
@@ -625,7 +645,7 @@ TEST(ServiceIntake, DeferredSetOverflowIsNotCountedAsExpiry) {
   const media::Catalog catalog = TwoHotVideos();
 
   svc::ServiceConfig config;
-  config.scheduler.max_sorp_iterations = 0;
+  config.scheduler.sorp.max_iterations = 0;
   config.max_deferrals = 8;      // plenty of lives left
   config.deferred_capacity = 0;  // but nowhere to wait
   obs::MetricsRegistry metrics;

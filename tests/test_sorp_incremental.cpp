@@ -1,13 +1,12 @@
-// Golden byte-identity of the incremental SORP engine: the delta-
-// maintained + memoized loop (SorpOptions::incremental = true, the
-// default) must produce exactly the same schedule bytes as the retained
-// rebuild-from-scratch reference engine, for every heat metric, both
-// victim policies, and any thread count.  Also pins the memo/rebuild
-// accounting: the incremental engine builds the aggregate once and reuses
-// cached dry runs, the reference engine rebuilds per dry run and per
-// commit.
+// Golden byte-identity of the SORP engine: the delta-maintained +
+// memoized loop must produce exactly the same schedule bytes and victim
+// statistics as the serial rebuild-from-scratch oracle
+// (tests/sorp_reference.hpp), for every heat metric, both victim
+// policies, and any thread count.  Also pins the memo/rebuild accounting:
+// the engine builds the aggregate once and reuses cached dry runs.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,6 +15,8 @@
 #include "core/sorp.hpp"
 #include "io/serialize.hpp"
 #include "net/routing.hpp"
+#include "sorp_reference.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/scenario.hpp"
 
 namespace vor::core {
@@ -46,15 +47,25 @@ struct TightEnv {
 };
 
 EngineRun RunEngine(const TightEnv& env, HeatMetric heat, VictimPolicy policy,
-                    bool incremental, std::size_t threads) {
+                    std::size_t threads) {
   Schedule schedule = env.phase1;
+  std::unique_ptr<util::ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
   SorpOptions options;
   options.heat = heat;
   options.victim_policy = policy;
-  options.incremental = incremental;
-  options.parallel.threads = threads;
+  options.pool = pool.get();
   EngineRun run;
   run.stats = SorpSolve(schedule, env.scenario.requests, *env.cm, options);
+  run.bytes = io::ToJson(schedule).Dump(2);
+  return run;
+}
+
+EngineRun RunOracle(const TightEnv& env, const SorpOptions& options) {
+  Schedule schedule = env.phase1;
+  EngineRun run;
+  run.stats =
+      reference::SorpSolve(schedule, env.scenario.requests, *env.cm, options);
   run.bytes = io::ToJson(schedule).Dump(2);
   return run;
 }
@@ -68,31 +79,25 @@ TEST(SorpIncrementalGoldenTest, AllMetricsPoliciesAndThreadCountsMatch) {
                                            VictimPolicy::kFirstContributor};
   for (const HeatMetric heat : metrics) {
     for (const VictimPolicy policy : policies) {
-      const EngineRun reference =
-          RunEngine(env, heat, policy, /*incremental=*/false, /*threads=*/1);
+      SorpOptions oracle_options;
+      oracle_options.heat = heat;
+      oracle_options.victim_policy = policy;
+      const EngineRun reference = RunOracle(env, oracle_options);
       ASSERT_TRUE(reference.stats.HadOverflow())
           << "scenario must engage SORP";
       for (const std::size_t threads : {1u, 2u, 8u}) {
-        const EngineRun incremental =
-            RunEngine(env, heat, policy, /*incremental=*/true, threads);
-        EXPECT_EQ(incremental.bytes, reference.bytes)
-            << "engines diverged: heat=" << ToString(heat)
+        const EngineRun engine = RunEngine(env, heat, policy, threads);
+        EXPECT_EQ(engine.bytes, reference.bytes)
+            << "engine diverged from the oracle: heat=" << ToString(heat)
             << " policy=" << static_cast<int>(policy)
             << " threads=" << threads;
-        EXPECT_EQ(incremental.stats.victims_rescheduled,
+        EXPECT_EQ(engine.stats.victims_rescheduled,
                   reference.stats.victims_rescheduled);
-        EXPECT_EQ(incremental.stats.evaluations, reference.stats.evaluations);
-        EXPECT_DOUBLE_EQ(incremental.stats.final_excess,
+        EXPECT_EQ(engine.stats.evaluations, reference.stats.evaluations);
+        EXPECT_DOUBLE_EQ(engine.stats.final_excess,
                          reference.stats.final_excess);
-        EXPECT_DOUBLE_EQ(incremental.stats.cost_after.value(),
+        EXPECT_DOUBLE_EQ(engine.stats.cost_after.value(),
                          reference.stats.cost_after.value());
-
-        // The reference engine at the same thread count must agree too
-        // (both engines are thread-count invariant on their own).
-        const EngineRun reference_mt =
-            RunEngine(env, heat, policy, /*incremental=*/false, threads);
-        EXPECT_EQ(reference_mt.bytes, reference.bytes)
-            << "reference engine diverged at " << threads << " threads";
       }
     }
   }
@@ -100,27 +105,17 @@ TEST(SorpIncrementalGoldenTest, AllMetricsPoliciesAndThreadCountsMatch) {
 
 TEST(SorpIncrementalTest, MemoHitsAndRebuildAccounting) {
   const TightEnv env;
-  const EngineRun incremental = RunEngine(
-      env, HeatMetric::kTimeSpacePerCost, VictimPolicy::kMaxHeat, true, 1);
-  const EngineRun reference = RunEngine(
-      env, HeatMetric::kTimeSpacePerCost, VictimPolicy::kMaxHeat, false, 1);
-  ASSERT_TRUE(incremental.stats.HadOverflow());
+  const EngineRun engine =
+      RunEngine(env, HeatMetric::kTimeSpacePerCost, VictimPolicy::kMaxHeat, 1);
+  ASSERT_TRUE(engine.stats.HadOverflow());
 
   // Cross-round memoization must fire on a multi-round resolution, and
   // every candidate is either a hit or a real dry run.
-  EXPECT_GT(incremental.stats.memo_hits, 0u);
-  EXPECT_EQ(incremental.stats.memo_hits + incremental.stats.memo_misses,
-            incremental.stats.evaluations);
+  EXPECT_GT(engine.stats.memo_hits, 0u);
+  EXPECT_EQ(engine.stats.memo_hits + engine.stats.memo_misses,
+            engine.stats.evaluations);
   // The aggregate is built exactly once; commits are diffs, not rebuilds.
-  EXPECT_EQ(incremental.stats.usage_rebuilds, 1u);
-
-  // The reference engine rebuilds per capacity-aware dry run and per
-  // commit (plus the initial build) and never consults the memo.
-  EXPECT_EQ(reference.stats.memo_hits, 0u);
-  EXPECT_EQ(reference.stats.memo_misses, 0u);
-  EXPECT_EQ(reference.stats.usage_rebuilds,
-            1 + reference.stats.evaluations +
-                reference.stats.victims_rescheduled);
+  EXPECT_EQ(engine.stats.usage_rebuilds, 1u);
 }
 
 TEST(SorpIncrementalTest, FirstContributorPolicyCannotHitMemo) {
@@ -129,7 +124,7 @@ TEST(SorpIncrementalTest, FirstContributorPolicyCannotHitMemo) {
   // run — which keeps its `evaluations == victims_rescheduled` contract.
   const TightEnv env;
   const EngineRun run = RunEngine(env, HeatMetric::kTimeSpacePerCost,
-                                  VictimPolicy::kFirstContributor, true, 1);
+                                  VictimPolicy::kFirstContributor, 1);
   ASSERT_TRUE(run.stats.HadOverflow());
   EXPECT_EQ(run.stats.memo_hits, 0u);
   EXPECT_EQ(run.stats.evaluations, run.stats.victims_rescheduled);
@@ -158,22 +153,16 @@ TEST(SorpIncrementalTest, HooksDisableMemoization) {
 TEST(SorpIncrementalTest, CapacityUnawareAblationStillMatchesReference) {
   // With capacity_aware_reschedule off, dry runs consult no node usage at
   // all; cached entries are then valid until their file becomes the
-  // victim.  The engines must still agree byte-for-byte.
+  // victim.  The engine must still agree with the oracle byte-for-byte.
   const TightEnv env;
-  auto run = [&](bool incremental) {
-    Schedule schedule = env.phase1;
-    SorpOptions options;
-    options.capacity_aware_reschedule = false;
-    options.incremental = incremental;
-    EngineRun out;
-    out.stats = SorpSolve(schedule, env.scenario.requests, *env.cm, options);
-    out.bytes = io::ToJson(schedule).Dump(2);
-    return out;
-  };
-  const EngineRun inc = run(true);
-  const EngineRun ref = run(false);
-  EXPECT_EQ(inc.bytes, ref.bytes);
-  EXPECT_EQ(inc.stats.victims_rescheduled, ref.stats.victims_rescheduled);
+  SorpOptions options;
+  options.capacity_aware_reschedule = false;
+  Schedule schedule = env.phase1;
+  const SorpStats stats =
+      SorpSolve(schedule, env.scenario.requests, *env.cm, options);
+  const EngineRun reference = RunOracle(env, options);
+  EXPECT_EQ(io::ToJson(schedule).Dump(2), reference.bytes);
+  EXPECT_EQ(stats.victims_rescheduled, reference.stats.victims_rescheduled);
 }
 
 }  // namespace

@@ -1,15 +1,17 @@
 // Golden byte-identity of region-sharded SORP: for every (regions x
-// threads x incremental) combination the sharded engine must emit exactly
-// the bytes of the monolithic reference.  The workload comes from the
-// scale generator at full region affinity, so the file population
-// actually partitions into multiple route-closed shards (the interesting
-// regime — a collapsed single shard would make the grid vacuous), plus a
-// boundary regression where global draws and a flash crowd straddle
-// regions and force shard merging.  The service-level test pins the same
-// identity through the speculative cycle close and a snapshot restore.
+// threads) combination the engine must emit exactly the bytes of the
+// serial monolithic oracle (tests/sorp_reference.hpp).  The workload comes
+// from the scale generator at full region affinity, so the file
+// population actually partitions into multiple route-closed shards (the
+// interesting regime — a collapsed single shard would make the grid
+// vacuous), plus a boundary regression where global draws and a flash
+// crowd straddle regions and force shard merging.  The service-level test
+// pins the same identity through the speculative cycle close and a
+// snapshot restore.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,8 +22,10 @@
 #include "io/serialize.hpp"
 #include "net/routing.hpp"
 #include "obs/metrics.hpp"
+#include "sorp_reference.hpp"
 #include "svc/reservation_service.hpp"
 #include "svc/snapshot.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/scale.hpp"
 #include "workload/scenario.hpp"
 #include "workload/trace.hpp"
@@ -76,13 +80,14 @@ struct EngineRun {
 };
 
 EngineRun RunEngine(const RegionEnv& env, std::size_t regions,
-                    std::size_t threads, bool incremental,
+                    std::size_t threads,
                     obs::MetricsRegistry* metrics = nullptr) {
   Schedule schedule = env.phase1;
+  std::unique_ptr<util::ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
   SorpOptions options;
   options.regions = regions;
-  options.parallel.threads = threads;
-  options.incremental = incremental;
+  options.pool = pool.get();
   options.metrics = metrics;
   EngineRun run;
   run.stats = SorpSolve(schedule, env.scenario.requests, *env.cm, options);
@@ -90,30 +95,46 @@ EngineRun RunEngine(const RegionEnv& env, std::size_t regions,
   return run;
 }
 
+EngineRun RunOracle(const RegionEnv& env) {
+  Schedule schedule = env.phase1;
+  EngineRun run;
+  run.stats = reference::SorpSolve(schedule, env.scenario.requests, *env.cm,
+                                   SorpOptions{});
+  run.bytes = io::ScheduleToBinary(schedule);
+  return run;
+}
+
 TEST(SorpRegionGoldenTest, GridMatchesMonolithic) {
   const RegionEnv env(/*affinity=*/1.0);
-  const EngineRun reference =
-      RunEngine(env, /*regions=*/1, /*threads=*/1, /*incremental=*/false);
+  const EngineRun reference = RunOracle(env);
   ASSERT_TRUE(reference.stats.HadOverflow()) << "scenario must engage SORP";
   ASSERT_TRUE(reference.stats.Resolved());
-  EXPECT_EQ(reference.stats.region_shards, 0u)
-      << "regions=1 must stay on the monolithic engine";
 
   bool saw_multiple_shards = false;
   for (const std::size_t regions : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}, std::size_t{0}}) {
     for (const std::size_t threads : {1u, 2u, 8u}) {
-      for (const bool incremental : {false, true}) {
-        const EngineRun run = RunEngine(env, regions, threads, incremental);
-        EXPECT_EQ(run.bytes, reference.bytes)
-            << "diverged at regions=" << regions << " threads=" << threads
-            << " incremental=" << incremental;
-        EXPECT_EQ(run.stats.victims_rescheduled,
-                  reference.stats.victims_rescheduled)
-            << "victim count drifted at regions=" << regions
-            << " threads=" << threads;
-        saw_multiple_shards |= run.stats.region_shards > 1;
+      const EngineRun run = RunEngine(env, regions, threads);
+      EXPECT_EQ(run.bytes, reference.bytes)
+          << "diverged at regions=" << regions << " threads=" << threads;
+      EXPECT_EQ(run.stats.victims_rescheduled,
+                reference.stats.victims_rescheduled)
+          << "victim count drifted at regions=" << regions
+          << " threads=" << threads;
+      EXPECT_DOUBLE_EQ(run.stats.final_excess, reference.stats.final_excess);
+      EXPECT_DOUBLE_EQ(run.stats.cost_after.value(),
+                       reference.stats.cost_after.value());
+      if (regions == 1) {
+        EXPECT_EQ(run.stats.region_shards, 0u)
+            << "regions=1 must stay on the monolithic engine";
+        EXPECT_EQ(run.stats.evaluations, reference.stats.evaluations);
+      } else {
+        // Shards re-sweep only their own candidates after a commit, so
+        // the region engine evaluates fewer of them than the monolithic
+        // loop — never more.
+        EXPECT_LE(run.stats.evaluations, reference.stats.evaluations);
       }
+      saw_multiple_shards |= run.stats.region_shards > 1;
     }
   }
   EXPECT_TRUE(saw_multiple_shards)
@@ -127,14 +148,12 @@ TEST(SorpRegionGoldenTest, GridMatchesMonolithic) {
 // boundary file is resolved by exactly one shard, never two.
 TEST(SorpRegionGoldenTest, BoundaryStraddlingVictimsMatch) {
   const RegionEnv env(/*affinity=*/0.85, /*flash_fraction=*/0.05);
-  const EngineRun reference =
-      RunEngine(env, /*regions=*/1, /*threads=*/1, /*incremental=*/false);
+  const EngineRun reference = RunOracle(env);
   ASSERT_TRUE(reference.stats.HadOverflow()) << "scenario must engage SORP";
 
   obs::MetricsRegistry metrics;
   const EngineRun sharded =
-      RunEngine(env, /*regions=*/0, /*threads=*/2, /*incremental=*/true,
-                &metrics);
+      RunEngine(env, /*regions=*/0, /*threads=*/2, &metrics);
   EXPECT_EQ(sharded.bytes, reference.bytes);
   EXPECT_GT(metrics.GetCounter("sorp.regions.cross_files").value(), 0u)
       << "workload should produce boundary-straddling files";
@@ -143,8 +162,7 @@ TEST(SorpRegionGoldenTest, BoundaryStraddlingVictimsMatch) {
             metrics.GetCounter("sorp.regions.base").value());
 
   for (const std::size_t regions : {std::size_t{2}, std::size_t{8}}) {
-    const EngineRun run =
-        RunEngine(env, regions, /*threads=*/8, /*incremental=*/true);
+    const EngineRun run = RunEngine(env, regions, /*threads=*/8);
     EXPECT_EQ(run.bytes, reference.bytes)
         << "diverged at regions=" << regions;
   }
@@ -168,7 +186,7 @@ TEST(SorpRegionGoldenTest, ServiceSpeculativeCloseAndSnapshotRestore) {
 
   // Reference: monolithic SORP, plain closes.
   svc::ServiceConfig plain_config;
-  plain_config.scheduler.sorp_regions = 1;
+  plain_config.scheduler.sorp.regions = 1;
   svc::ReservationService plain(env.scenario.topology, env.scenario.catalog,
                                 plain_config);
   submit(plain, 0, half);
@@ -181,7 +199,7 @@ TEST(SorpRegionGoldenTest, ServiceSpeculativeCloseAndSnapshotRestore) {
   // Region-sharded + speculative close, snapshotted between the cycles
   // and restored into a fresh service for the second half.
   svc::ServiceConfig region_config;
-  region_config.scheduler.sorp_regions = 0;  // auto
+  region_config.scheduler.sorp.regions = 0;  // auto
   region_config.scheduler.parallel.threads = 2;
   region_config.speculate = true;
   svc::ReservationService sharded(env.scenario.topology, env.scenario.catalog,

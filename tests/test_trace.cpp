@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 
 #include "workload/scenario.hpp"
 
@@ -120,6 +121,21 @@ TEST(TraceTest, ValidateTraceChecksEnvironment) {
   bad[0].start_time = util::Seconds{-5.0};
   EXPECT_FALSE(
       ValidateTrace(bad, scenario.topology, scenario.catalog).ok());
+
+  // The CSV number parser accepts "nan" and "inf"; validation refuses
+  // them (a NaN start breaks ReplayOrderLess's strict weak order).
+  const Request& first = scenario.requests[0];
+  for (const char* start : {"nan", "inf"}) {
+    const std::string csv = "user,video,start_sec,neighborhood\n" +
+                            std::to_string(first.user) + ',' +
+                            std::to_string(first.video) + ',' + start + ',' +
+                            std::to_string(first.neighborhood) + '\n';
+    const auto parsed = RequestsFromCsv(csv);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    EXPECT_FALSE(
+        ValidateTrace(*parsed, scenario.topology, scenario.catalog).ok())
+        << start;
+  }
 }
 
 }  // namespace

@@ -369,14 +369,14 @@ int CmdSolve(const Args& args) {
   const std::string heat = args.Str("heat", "m4");
   const auto metric = ParseHeat(heat);
   if (!metric) return Fail("unknown heat metric '" + heat + "'");
-  options.heat = *metric;
+  options.sorp.heat = *metric;
   // --threads N: worker threads shared by phase 1 and SORP evaluations
   // (1 = serial, 0 = one per hardware thread).  The schedule is
   // byte-identical at any setting.
   options.parallel.threads = args.Count("threads", 1);
   // --regions N|auto: shard SORP by topology region and resolve the
   // shards concurrently.  Byte-identical schedule at any setting.
-  options.sorp_regions = ParseRegions(args);
+  options.sorp.regions = ParseRegions(args);
 
   // --metrics-out FILE: attach a registry and export phase timings and
   // solver counters as JSON after the solve.
@@ -569,7 +569,7 @@ int CmdServe(const Args& args) {
   config.shards = args.Count("shards", config.shards);
   if (config.shards == 0) return Fail("--shards must be >= 1");
   config.scheduler.parallel.threads = args.Count("threads", 1);
-  config.scheduler.sorp_regions = ParseRegions(args);
+  config.scheduler.sorp.regions = ParseRegions(args);
   if (clock_ms > 0) config.cycle_period_seconds = clock_ms / 1000.0;
   config.speculate = args.Flag("speculate");
 
