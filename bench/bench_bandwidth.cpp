@@ -7,6 +7,7 @@
 
 #include "bench_common.hpp"
 #include "ext/bandwidth.hpp"
+#include "storage/stream_load.hpp"
 
 int main() {
   using namespace vor;
@@ -50,9 +51,9 @@ int main() {
       std::cerr << p.error().message << '\n';
       return 1;
     }
-    ext::LinkLoadTracker tracker(scenario.topology, scenario.catalog);
-    for (std::size_t f = 0; f < p->schedule.files.size(); ++f) {
-      tracker.AddFile(p->schedule.files[f], f);
+    storage::StreamLoadTracker tracker(scenario.topology, scenario.catalog);
+    for (const core::FileSchedule& file : p->schedule.files) {
+      tracker.ApplyCommit(file);
     }
 
     table.AddRow({cap > 1e8 ? "inf" : util::Table::Num(cap, 0),

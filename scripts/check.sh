@@ -10,9 +10,9 @@
 # The sanitizer gate builds the asan-ubsan and tsan presets and runs
 # ctest under each.  The ASan/UBSan run covers the whole suite; the TSan
 # run covers the concurrency-bearing suites (thread pool, scheduler,
-# SORP, IVSP, shootout, incremental, determinism, ranked mutex) — the
-# full suite under TSan is an order of magnitude slower for no extra
-# thread coverage.  The tsan preset also compiles with
+# SORP, IVSP, shootout, incremental, determinism, ranked mutex,
+# bandwidth) — the full suite under TSan is an order of magnitude
+# slower for no extra thread coverage.  The tsan preset also compiles with
 # VOR_LOCK_ORDER_CHECK=ON, so every svc/rpc/obs mutex runs the runtime
 # lock-order witness (util::RankedMutex): a rank breach aborts with the
 # held-stack dump instead of deadlocking under the race detector.  That

@@ -106,8 +106,10 @@ class GreedyRun {
 
   bool RouteAllowed(const std::vector<net::NodeId>& route,
                     util::Seconds t) const {
-    if (constraints_ == nullptr || !constraints_->route_ok) return true;
-    if (constraints_->route_ok(route, t, video_)) return true;
+    if (constraints_ == nullptr || constraints_->streams == nullptr) {
+      return true;
+    }
+    if (constraints_->streams->RouteFeasible(route, t, video_)) return true;
     ++stats_.rejected_route;
     return false;
   }
@@ -200,8 +202,8 @@ class GreedyRun {
         }
       }
     }
-    if (constraints_ != nullptr && constraints_->on_commit) {
-      constraints_->on_commit(d);
+    if (constraints_ != nullptr && constraints_->record_streams != nullptr) {
+      constraints_->record_streams->AddDelivery(d);
     }
     deliveries_.push_back(std::move(d));
   }
@@ -214,10 +216,10 @@ class GreedyRun {
       ConsiderExtensions(req, best);
       ConsiderNewCaches(req, best);
     }
-    // Direct delivery is only infeasible under a route_ok hook that vetoes
-    // even the VW route; in that case fall back to direct delivery anyway
-    // (every reservation must be honoured) — the ext layer accounts for
-    // the violation.
+    // Direct delivery is only infeasible when a bandwidth cap vetoes even
+    // the VW route; in that case fall back to direct delivery anyway
+    // (every reservation must be honoured) — the bandwidth scheduler
+    // accounts for the violation.
     if (!best.Feasible()) {
       ++stats_.forced_direct;
       best = Candidate{CandidateKind::kDirect,

@@ -15,15 +15,15 @@
 //
 // The update with the minimum incremental cost wins.  When a ConstraintSet
 // is supplied (phase 2), candidates that would cache inside a forbidden
-// (IS, interval) window, exceed an IS's remaining capacity, or violate the
-// caller's route feasibility hook are rejected — the "rejective" greedy.
+// (IS, interval) window, exceed an IS's remaining capacity, or overload a
+// capped link or storage I/O are rejected — the "rejective" greedy.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "core/cost_model.hpp"
 #include "core/schedule.hpp"
+#include "storage/stream_load.hpp"
 #include "storage/usage_timeline.hpp"
 #include "util/interval.hpp"
 #include "util/piecewise.hpp"
@@ -94,17 +94,15 @@ struct ConstraintSet {
   /// nodes were consulted, enabling SORP's cross-round memoization.
   const storage::UsageView* other_usage = nullptr;
 
-  /// Optional route-feasibility hook (used by the bandwidth extension):
-  /// called with (route, start_time, video); returning false rejects the
-  /// candidate.
-  std::function<bool(const std::vector<net::NodeId>&, util::Seconds,
-                     media::VideoId)>
-      route_ok;
+  /// Stream load on capped links and storage I/O; candidates whose route
+  /// would overload one are rejected.  May be nullptr (no bandwidth caps).
+  /// Like `other_usage`, the view records what it consulted.
+  const storage::StreamView* streams = nullptr;
 
-  /// Optional commit notification: called for every delivery the greedy
-  /// records, so external trackers (bandwidth) stay current while later
-  /// requests of the same file are placed.
-  std::function<void(const Delivery&)> on_commit;
+  /// When set, every delivery the greedy records is added to this tracker,
+  /// so the later requests of the same file see it through `streams`
+  /// (phase 1 of the bandwidth scheduler).
+  storage::StreamLoadTracker* record_streams = nullptr;
 
   [[nodiscard]] bool ForbidsResidency(net::NodeId node,
                                       util::Interval support) const;

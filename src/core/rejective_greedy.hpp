@@ -7,13 +7,13 @@
 // never create another.
 #pragma once
 
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "core/cost_model.hpp"
 #include "core/ivsp.hpp"
 #include "core/schedule.hpp"
+#include "storage/stream_load.hpp"
 #include "storage/usage_timeline.hpp"
 #include "util/interval.hpp"
 #include "workload/request.hpp"
@@ -45,10 +45,13 @@ struct RescheduleResult {
 ///     fit within each IS's remaining capacity.  A default-constructed
 ///     view disables capacity enforcement beyond the static height check.
 ///     The view also records which nodes the run consulted (the basis of
-///     SORP's memo-invalidation rule).
+///     SORP's memo-invalidation rule);
+///   * `other_streams` — stream load of all other files on capped links
+///     and storage I/O (null: no bandwidth caps); routes that would
+///     overload a capped resource are rejected.
 ///
 /// The run reads only schedule.files[file_index] from `schedule` — every
-/// other file's influence arrives exclusively through `other_usage`.  SORP
+/// other file's influence arrives exclusively through the two views.  SORP
 /// relies on this to replay memoized results safely.
 [[nodiscard]] RescheduleResult RescheduleVictim(
     const Schedule& schedule, std::size_t file_index,
@@ -56,8 +59,6 @@ struct RescheduleResult {
     const CostModel& cost_model, const IvspOptions& options,
     std::vector<std::pair<net::NodeId, util::Interval>> forbidden,
     const storage::UsageView& other_usage,
-    std::function<bool(const std::vector<net::NodeId>&, util::Seconds,
-                       media::VideoId)>
-        route_ok = nullptr);
+    const storage::StreamView* other_streams = nullptr);
 
 }  // namespace vor::core

@@ -16,21 +16,27 @@
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
+#include "storage/stream_load.hpp"
 #include "storage/usage_timeline.hpp"
 
 namespace vor::core {
 
 namespace {
 
-/// Result of one tentative rejective-greedy dry run.
+/// Result of one tentative rejective-greedy dry run, plus the generation
+/// of every node and stream resource it consulted (read while the
+/// trackers are frozen).  A cached run replays iff (a) the victim file's
+/// own schedule is unchanged — enforced by erasing the victim's entries on
+/// commit — and (b) no consulted timeline changed — checked against these
+/// generations.  Everything else a dry run reads (requests, cost model,
+/// options) is frozen for the whole solve.
 struct Evaluation {
   double heat = -std::numeric_limits<double>::infinity();
   FileSchedule schedule;
   GreedyStats greedy;
   double seconds = 0.0;
-  /// Nodes whose usage the dry run consulted (sorted, deduped); the basis
-  /// of the memo-invalidation rule below.
-  std::vector<net::NodeId> consulted;
+  std::vector<std::pair<net::NodeId, std::uint64_t>> node_gens;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> stream_gens;
 };
 
 /// Memoization key: the full identity of a dry run against a frozen
@@ -41,27 +47,6 @@ using MemoKey = std::tuple<std::size_t, net::NodeId, double, double>;
 [[nodiscard]] MemoKey KeyOf(const SorpCandidate& c) {
   return MemoKey{c.file_index, c.node, c.window.start.value(),
                  c.window.end.value()};
-}
-
-/// A cached dry run plus the generation of every node it consulted at the
-/// time it ran.  Replay is sound iff (a) the victim file's own schedule is
-/// unchanged — enforced by erasing the victim's entries on commit — and
-/// (b) no consulted node's timeline changed — checked against the
-/// tracker's generation counters.  Everything else a dry run reads
-/// (requests, cost model, options) is frozen for the whole solve.
-struct MemoEntry {
-  Evaluation eval;
-  std::vector<std::pair<net::NodeId, std::uint64_t>> consulted_gens;
-};
-
-[[nodiscard]] bool HooksSerial(const SorpOptions& options) {
-  // The extension hooks exclude/re-include a file's streams in external
-  // trackers around each dry run; that protocol is inherently serial, and
-  // because the external state drifts between rounds, replaying a cached
-  // result would skip the hook's side effects — so memoization is off too.
-  return static_cast<bool>(options.on_file_excluded) ||
-         static_cast<bool>(options.on_file_included) ||
-         static_cast<bool>(options.route_ok);
 }
 
 /// The paper's Table-3 resolution loop, parameterized over scope: the
@@ -83,8 +68,7 @@ SorpStats RunSorpLoop(Schedule& schedule,
                       const std::vector<std::size_t>* shard_files,
                       bool round_spans) {
   SorpStats stats;
-  const bool hooks_serial = HooksSerial(options);
-  const bool memoize = !hooks_serial;
+  storage::StreamLoadTracker* const streams = options.streams;
 
   // Aggregate usage, built once and diffed on every commit.  The tracker
   // keeps the canonical ascending-tag piece order a fresh BuildUsage
@@ -106,9 +90,8 @@ SorpStats RunSorpLoop(Schedule& schedule,
   }
 
   // One tentative rejective-greedy dry run; pure given a frozen schedule
-  // (the hook calls around it are made by the caller when serial).  The
-  // per-evaluation tallies/timings ride back in the slot-indexed
-  // Evaluation and are folded into the registry serially.
+  // and frozen trackers.  The per-evaluation tallies/timings ride back in
+  // the slot-indexed Evaluation and are folded into the registry serially.
   const auto evaluate = [&](const SorpCandidate& c) -> Evaluation {
     const obs::Stopwatch watch;
     // The backdrop the victim must fit into: all other files' usage.  The
@@ -119,20 +102,28 @@ SorpStats RunSorpLoop(Schedule& schedule,
     if (options.capacity_aware_reschedule) {
       other = tracker.ExcludingFile(c.file_index);
     }
+    const storage::StreamView other_streams(
+        streams, schedule.files[c.file_index].video);
     RescheduleResult attempt = RescheduleVictim(
         schedule, c.file_index, requests, cost_model, options.ivsp,
-        {{c.node, c.window}}, other, options.route_ok);
+        {{c.node, c.window}}, other,
+        streams != nullptr ? &other_streams : nullptr);
     Evaluation out;
     out.heat =
         ComputeHeat(options.heat, c.chi, c.ds, attempt.Overhead().value());
     out.schedule = std::move(attempt.schedule);
     out.greedy = attempt.greedy;
     out.seconds = watch.Seconds();
-    out.consulted = other.ConsultedNodes();
+    for (const net::NodeId node : other.ConsultedNodes()) {
+      out.node_gens.emplace_back(node, tracker.NodeGeneration(node));
+    }
+    for (const std::uint64_t key : other_streams.ConsultedKeys()) {
+      out.stream_gens.emplace_back(key, streams->Generation(key));
+    }
     return out;
   };
 
-  std::map<MemoKey, MemoEntry> memo;
+  std::map<MemoKey, Evaluation> memo;
 
   while (!overflows.empty() &&
          stats.victims_rescheduled < options.max_iterations) {
@@ -156,76 +147,49 @@ SorpStats RunSorpLoop(Schedule& schedule,
     std::vector<std::size_t> to_run;
     to_run.reserve(candidates.size());
     std::size_t round_hits = 0;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      bool hit = false;
-      if (memoize) {
-        const auto it = memo.find(KeyOf(candidates[i]));
-        if (it != memo.end()) {
-          hit = true;
-          for (const auto& [node, gen] : it->second.consulted_gens) {
-            if (tracker.NodeGeneration(node) != gen) {
-              hit = false;
-              break;
-            }
-          }
-        }
-        if (hit) {
-          evals[i] = it->second.eval;
-          evals[i].seconds = 0.0;
-          ++round_hits;
-        }
+    const auto current = [&](const Evaluation& cached) {
+      for (const auto& [node, gen] : cached.node_gens) {
+        if (tracker.NodeGeneration(node) != gen) return false;
       }
-      if (!hit) to_run.push_back(i);
+      for (const auto& [key, gen] : cached.stream_gens) {
+        if (streams->Generation(key) != gen) return false;
+      }
+      return true;
+    };
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const auto it = memo.find(KeyOf(candidates[i]));
+      if (it != memo.end() && current(it->second)) {
+        evals[i] = it->second;
+        evals[i].seconds = 0.0;
+        ++round_hits;
+      } else {
+        to_run.push_back(i);
+      }
     }
 
-    const bool parallel = pool != nullptr && !hooks_serial &&
-                          to_run.size() > 1 && !pool->InWorkerThread();
-    if (parallel) {
+    if (pool != nullptr && to_run.size() > 1 && !pool->InWorkerThread()) {
       // Fan the dry runs out; each slot reads the frozen schedule and
-      // writes only its own entry.  The reduction below is order-based,
-      // so thread scheduling cannot change the chosen victim.
+      // trackers and writes only its own entry.  The reduction below is
+      // order-based, so thread scheduling cannot change the chosen victim.
       pool->ParallelFor(to_run.size(), [&](std::size_t k) {
         evals[to_run[k]] = evaluate(candidates[to_run[k]]);
       });
     } else {
-      for (const std::size_t i : to_run) {
-        if (options.on_file_excluded) {
-          options.on_file_excluded(candidates[i].file_index);
-        }
-        evals[i] = evaluate(candidates[i]);
-        if (options.on_file_included) {
-          // Tentative evaluation: restore the victim's current streams.
-          options.on_file_included(candidates[i].file_index,
-                                   schedule.files[candidates[i].file_index]);
-        }
-      }
+      for (const std::size_t i : to_run) evals[i] = evaluate(candidates[i]);
     }
 
-    // Record fresh results with the generations their consulted nodes had
-    // at run time (the tracker is untouched during the fan-out, so these
-    // are exactly the generations the dry runs saw).
-    if (memoize) {
-      for (const std::size_t i : to_run) {
-        MemoEntry entry;
-        entry.eval = evals[i];
-        entry.consulted_gens.reserve(evals[i].consulted.size());
-        for (const net::NodeId node : evals[i].consulted) {
-          entry.consulted_gens.emplace_back(node, tracker.NodeGeneration(node));
-        }
-        memo.insert_or_assign(KeyOf(candidates[i]), std::move(entry));
-      }
+    for (const std::size_t i : to_run) {
+      memo.insert_or_assign(KeyOf(candidates[i]), evals[i]);
     }
 
     stats.evaluations += candidates.size();
     stats.memo_hits += round_hits;
-    if (memoize) stats.memo_misses += to_run.size();
+    stats.memo_misses += to_run.size();
     if (metrics != nullptr) {
       obs::Add(metrics, "sorp.rounds");
       obs::Add(metrics, "sorp.candidates_evaluated", candidates.size());
-      if (memoize) {
-        obs::Add(metrics, "sorp.memo.hits", round_hits);
-        obs::Add(metrics, "sorp.memo.misses", to_run.size());
-      }
+      obs::Add(metrics, "sorp.memo.hits", round_hits);
+      obs::Add(metrics, "sorp.memo.misses", to_run.size());
       GreedyStats round_greedy;
       obs::Timer& eval_timer = metrics->GetTimer("sorp.evaluation");
       // Greedy tallies fold over ALL slots (cached copies carry the same
@@ -258,30 +222,25 @@ SorpStats RunSorpLoop(Schedule& schedule,
     // scope the victim is a shard-owned file, so concurrent shards write
     // disjoint schedule slots.
     const std::size_t victim = candidates[best].file_index;
-    if (options.on_file_excluded) options.on_file_excluded(victim);
     schedule.files[victim] = std::move(evals[best].schedule);
-    if (options.on_file_included) {
-      options.on_file_included(victim, schedule.files[victim]);
-    }
     ++stats.victims_rescheduled;
 
-    if (memoize) {
-      // The victim's own schedule changed, which node generations cannot
-      // see (its cached runs read schedule.files[victim] directly, and
-      // old_cost shifts even when no consulted node does) — drop every
-      // entry keyed on it.
-      for (auto it = memo.begin(); it != memo.end();) {
-        if (std::get<0>(it->first) == victim) {
-          it = memo.erase(it);
-        } else {
-          ++it;
-        }
+    // The victim's own schedule changed, which generations cannot see (its
+    // cached runs read schedule.files[victim] directly, and old_cost
+    // shifts even when no consulted timeline does) — drop every entry
+    // keyed on it.
+    for (auto it = memo.begin(); it != memo.end();) {
+      if (std::get<0>(it->first) == victim) {
+        it = memo.erase(it);
+      } else {
+        ++it;
       }
     }
 
     // O(victim residencies) diff: swap the victim's old pieces for its new
-    // ones and bump the touched nodes' generations.
+    // ones and bump the touched nodes' generations; likewise its streams.
     tracker.ApplyCommit(victim, schedule.files[victim]);
+    if (streams != nullptr) streams->ApplyCommit(schedule.files[victim]);
     overflows = DetectOverflowsIn(tracker.usage(), cost_model.topology());
     const double new_excess =
         TotalExcess(tracker.usage(), cost_model.topology());
@@ -603,9 +562,10 @@ SorpStats SorpSolve(Schedule& schedule,
                     const std::vector<workload::Request>& requests,
                     const CostModel& cost_model, const SorpOptions& options) {
   // The region engine requires commit commutativity (kMaxHeat's reduction
-  // is per-shard deterministic) and hook-free dry runs; otherwise fall
-  // back to the global loop, which handles every configuration.
-  if (options.regions != 1 && !HooksSerial(options) &&
+  // is per-shard deterministic) and shard-local dry runs — stream caps
+  // are not: shards share the VW->hub backbone links.  Otherwise fall back
+  // to the global loop, which handles every configuration.
+  if (options.regions != 1 && options.streams == nullptr &&
       options.victim_policy == VictimPolicy::kMaxHeat) {
     return RegionShardedSolve(schedule, requests, cost_model, options);
   }

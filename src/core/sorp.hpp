@@ -8,16 +8,16 @@
 // The aggregate usage is delta-maintained (storage::UsageTracker: built
 // once, each commit applies an O(victim residencies) diff) and dry runs
 // are memoized across rounds (a cached result is replayed iff its file is
-// not the last victim, its overflow window is unchanged, and no node the
-// run consulted has been touched by a commit since).  Memoization is off
-// when any extension hook is set: hooks mutate external tracker state
-// between rounds, which the memo cannot see.  The golden tests compare
-// this engine with a serial rebuild-from-scratch oracle
+// not the last victim, its overflow window is unchanged, and no node —
+// nor, under bandwidth caps, no capped link or storage I/O — the run
+// consulted has been touched by a commit since).  Link bandwidth is the
+// second tracked resource (storage::StreamLoadTracker), with the same
+// view and generation contract as the usage tracker.  The golden tests
+// compare this engine with a serial rebuild-from-scratch oracle
 // (tests/sorp_reference.hpp).
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -32,6 +32,10 @@ namespace vor::obs {
 class MetricsRegistry;
 }  // namespace vor::obs
 
+namespace vor::storage {
+class StreamLoadTracker;
+}  // namespace vor::storage
+
 namespace vor::core {
 
 /// How the victim is chosen among a round's candidates.
@@ -45,7 +49,7 @@ enum class VictimPolicy : std::uint8_t {
 
 /// SORP's knobs.  SchedulerOptions embeds one as `sorp`; the scheduler
 /// entry points copy it and fill in only `pool`, `metrics` and (the
-/// bandwidth extension) the hooks.
+/// bandwidth scheduler) `streams`.
 struct SorpOptions {
   HeatMetric heat = HeatMetric::kTimeSpacePerCost;  // M4: best in the paper
   VictimPolicy victim_policy = VictimPolicy::kMaxHeat;
@@ -79,8 +83,9 @@ struct SorpOptions {
   /// resolution completes within budget (see DESIGN.md "Region-sharded
   /// SORP" for the argument and the max_iterations / progress-guard
   /// caveats; max_iterations is per shard here).  Falls back to the
-  /// monolithic loop when extension hooks are set or the victim policy is
-  /// not kMaxHeat.
+  /// monolithic loop when `streams` is set (shards share the VW->hub
+  /// backbone links, so a stream-capped solve is one scope) or the victim
+  /// policy is not kMaxHeat.
   std::size_t regions = 1;
 
   // ---- parallelism ----------------------------------------------------
@@ -91,24 +96,15 @@ struct SorpOptions {
   /// engine's shards; the commit step stays serial and the victim is
   /// reduced with a deterministic tie-break (max heat, then smallest file
   /// index, then discovery order), so the victim sequence — and the final
-  /// schedule bytes — are identical at any thread count.  Evaluations
-  /// degrade to serial when any of the extension hooks below is set (they
-  /// mutate external tracker state and are not thread-safe).
+  /// schedule bytes — are identical at any thread count.
   util::ThreadPool* pool = nullptr;
 
-  // ---- extension hooks (src/ext) -------------------------------------
-  /// Candidate route filter threaded into every rejective reschedule
-  /// (the bandwidth extension vetoes saturated links here).
-  std::function<bool(const std::vector<net::NodeId>&, util::Seconds,
-                     media::VideoId)>
-      route_ok;
-  /// Called with the victim's file index just before its tentative or
-  /// final reschedule (so external trackers can exclude its current
-  /// streams) ...
-  std::function<void(std::size_t)> on_file_excluded;
-  /// ... and with the file schedule to re-include afterwards (the old one
-  /// after a tentative evaluation, the new one after a commit).
-  std::function<void(std::size_t, const FileSchedule&)> on_file_included;
+  /// Optional stream load of the schedule being resolved (bandwidth caps;
+  /// one file per video, as every scheduler builds).  Every rejective
+  /// reschedule checks its routes against the load of the other files, and
+  /// each commit is applied to it, so on return it describes the resolved
+  /// schedule.  null: links are uncapacitated.
+  storage::StreamLoadTracker* streams = nullptr;
 
   // ---- observability --------------------------------------------------
   /// Optional metrics sink: phase span ("sorp"), round/evaluation timers,
@@ -150,8 +146,7 @@ struct SorpStats {
   /// real dry runs alike — the candidate count).
   std::size_t evaluations = 0;
   /// Cross-round memoization outcome split: evaluations served from cache
-  /// vs. actually re-run.  hits + misses == evaluations, except under
-  /// extension hooks, which switch memoization off (both zero).
+  /// vs. actually re-run.  hits + misses == evaluations.
   std::size_t memo_hits = 0;
   std::size_t memo_misses = 0;
   /// Full-aggregate usage builds (UsageTracker constructions): one per

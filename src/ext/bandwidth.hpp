@@ -4,18 +4,17 @@
 // the two-phase scheduler.
 //
 // Links may carry a bandwidth capacity (Topology::AddLink's
-// bandwidth_cap).  Each delivery occupies B_id bytes/sec on every link of
-// its route for the playback duration; the aggregate per-link load is a
-// step function.  The extension:
-//   * filters greedy candidates whose route would overload any link
-//     (phase 1 and every rejective reschedule), and
+// bandwidth_cap) and storages a serving-I/O cap; storage::StreamLoadTracker
+// aggregates the stream load on both.  The scheduler:
+//   * filters greedy candidates whose route would overload a capped
+//     resource (phase 1 and, through SorpOptions::streams, every rejective
+//     reschedule), and
 //   * reports residual overloads — a request whose every serving option
 //     is saturated is still served (reservations are honoured) via the
 //     warehouse route, and that violation is accounted.
 #pragma once
 
-#include <cstdint>
-#include <unordered_map>
+#include <cstddef>
 #include <vector>
 
 #include "core/scheduler.hpp"
@@ -24,62 +23,9 @@
 #include "media/catalog.hpp"
 #include "net/topology.hpp"
 #include "util/result.hpp"
-#include "util/step_timeline.hpp"
 #include "workload/request.hpp"
 
 namespace vor::ext {
-
-/// Aggregate per-link stream load AND per-storage serving-I/O load, with
-/// piece tags identifying the file each stream belongs to (so a victim's
-/// streams can be excluded during its reschedule).
-///
-/// Links with bandwidth_cap > 0 limit the streams crossing them; storage
-/// nodes with io_cap > 0 limit the aggregate rate of streams they ORIGIN
-/// (cache replays served out of their disks).  The warehouse is always
-/// uncapacitated.
-class LinkLoadTracker {
- public:
-  explicit LinkLoadTracker(const net::Topology& topology,
-                           const media::Catalog& catalog);
-
-  /// True iff routing a stream of `video` starting at `t` keeps every
-  /// capacitated link on `route` within its cap AND, when the route
-  /// originates at a capacitated storage, that storage within its
-  /// serving-I/O cap.
-  [[nodiscard]] bool RouteFeasible(const std::vector<net::NodeId>& route,
-                                   util::Seconds t, media::VideoId video) const;
-
-  /// Accounts one delivery under the given file tag.
-  void AddDelivery(const core::Delivery& d, std::uint64_t file_tag);
-
-  /// Accounts a whole file schedule.
-  void AddFile(const core::FileSchedule& file, std::uint64_t file_tag);
-
-  /// Removes everything accounted under the tag.
-  void RemoveFile(std::uint64_t file_tag);
-
-  /// (peak load)/(cap) over all capacitated links and storage nodes;
-  /// <= 1 means feasible.
-  [[nodiscard]] double WorstUtilization() const;
-
-  /// Number of capacitated links whose load exceeds their cap somewhere.
-  [[nodiscard]] std::size_t OverloadedLinks() const;
-
-  /// Number of capacitated storages whose serving I/O exceeds its cap.
-  [[nodiscard]] std::size_t OverloadedNodes() const;
-
- private:
-  [[nodiscard]] static std::uint64_t Key(net::NodeId a, net::NodeId b);
-
-  const net::Topology* topology_;
-  const media::Catalog* catalog_;
-  /// Cap per link key; only capacitated links are tracked.
-  std::unordered_map<std::uint64_t, double> caps_;
-  std::unordered_map<std::uint64_t, util::StepTimeline> load_;
-  /// Serving-I/O cap and load per capacitated storage node.
-  std::unordered_map<net::NodeId, double> node_caps_;
-  std::unordered_map<net::NodeId, util::StepTimeline> node_load_;
-};
 
 struct BandwidthSolveOutput {
   core::Schedule schedule;
@@ -97,7 +43,10 @@ struct BandwidthSolveOutput {
 
 /// Two-phase scheduler with link-bandwidth admission.  Links with
 /// bandwidth_cap <= 0 are uncapacitated (the base paper's model); with no
-/// capacitated links this reduces exactly to core::VorScheduler.
+/// capacitated links this reduces exactly to core::VorScheduler.  Phase 1
+/// is serial (each file sees the streams placed before it); SORP's dry
+/// runs fan out over `options.parallel` threads, and the output is
+/// identical at any thread count.
 class BandwidthAwareScheduler {
  public:
   BandwidthAwareScheduler(const net::Topology& topology,

@@ -8,7 +8,10 @@ namespace vor::util {
 void StepTimeline::Add(const StepPiece& piece) {
   assert(piece.height >= 0.0);
   if (piece.window.empty()) return;
-  pieces_.push_back(piece);
+  const auto it = std::upper_bound(
+      pieces_.begin(), pieces_.end(), piece.tag,
+      [](std::uint64_t tag, const StepPiece& p) { return tag < p.tag; });
+  pieces_.insert(it, piece);
   InvalidateCache();
 }
 
@@ -23,10 +26,10 @@ std::size_t StepTimeline::RemoveByTag(std::uint64_t tag) {
   return removed;
 }
 
-double StepTimeline::ValueAt(Seconds t) const {
+double StepTimeline::ValueAt(Seconds t, std::uint64_t skip_tag) const {
   double total = 0.0;
   for (const StepPiece& p : pieces_) {
-    if (p.window.contains(t)) total += p.height;
+    if (p.tag != skip_tag && p.window.contains(t)) total += p.height;
   }
   return total;
 }
@@ -101,12 +104,17 @@ std::vector<StepExcessRegion> StepTimeline::RegionsAbove(double threshold) const
   return regions;
 }
 
-bool StepTimeline::FitsUnder(const StepPiece& piece, double threshold) const {
+bool StepTimeline::FitsUnder(const StepPiece& piece, double threshold,
+                             std::uint64_t skip_tag) const {
   if (piece.window.empty()) return true;
-  if (ValueAt(piece.window.start) + piece.height > threshold) return false;
+  if (ValueAt(piece.window.start, skip_tag) + piece.height > threshold) {
+    return false;
+  }
   for (const double t : Breakpoints()) {
     if (t > piece.window.start.value() && t < piece.window.end.value()) {
-      if (ValueAt(Seconds{t}) + piece.height > threshold) return false;
+      if (ValueAt(Seconds{t}, skip_tag) + piece.height > threshold) {
+        return false;
+      }
     }
   }
   return true;

@@ -2,8 +2,9 @@
 //
 // Network streams consume a constant bandwidth B over their playback
 // window [t, t+P].  Aggregate link load is therefore a step function.
-// This is the analogue of PiecewiseLinear for the bandwidth-constrained
-// extension (Sec. 6 "future work" of the paper, implemented in src/ext).
+// This is the analogue of PiecewiseLinear for the bandwidth constraints
+// (Sec. 6 "future work" of the paper), aggregated per link and per
+// storage by storage::StreamLoadTracker.
 //
 // Like PiecewiseLinear, the sorted breakpoint list is cached per mutation
 // epoch (double-checked atomic + mutex) so repeated capacity probes on a
@@ -26,6 +27,8 @@ struct StepPiece {
   Interval window;
   double height = 0.0;
   std::uint64_t tag = 0;
+
+  friend bool operator==(const StepPiece&, const StepPiece&) = default;
 };
 
 /// A region where the aggregate step function exceeds a threshold.
@@ -37,6 +40,9 @@ struct StepExcessRegion {
 
 class StepTimeline {
  public:
+  /// A tag no piece carries: the default `skip_tag` below.
+  static constexpr std::uint64_t kNoTag = ~std::uint64_t{0};
+
   StepTimeline() = default;
   // The breakpoint cache holds a mutex, so copies/moves transfer the piece
   // set only and start with a cold cache.
@@ -58,17 +64,18 @@ class StepTimeline {
     return *this;
   }
 
+  /// Adds a contribution.  Pieces stay sorted by tag, equal tags in
+  /// insertion order, so sums over them are independent of the order in
+  /// which differently tagged pieces were added.
   void Add(const StepPiece& piece);
   std::size_t RemoveByTag(std::uint64_t tag);
-  void Clear() {
-    pieces_.clear();
-    InvalidateCache();
-  }
 
   [[nodiscard]] const std::vector<StepPiece>& pieces() const { return pieces_; }
 
-  /// Right-continuous aggregate value at t.
-  [[nodiscard]] double ValueAt(Seconds t) const;
+  /// Right-continuous aggregate value at t, leaving out pieces tagged
+  /// `skip_tag`.
+  [[nodiscard]] double ValueAt(Seconds t,
+                               std::uint64_t skip_tag = kNoTag) const;
 
   /// Global maximum of the aggregate.
   [[nodiscard]] double Max() const;
@@ -80,8 +87,12 @@ class StepTimeline {
   /// threshold.
   [[nodiscard]] std::vector<StepExcessRegion> RegionsAbove(double threshold) const;
 
-  /// True iff adding `piece` keeps the aggregate <= threshold on its window.
-  [[nodiscard]] bool FitsUnder(const StepPiece& piece, double threshold) const;
+  /// True iff adding `piece` keeps the aggregate <= threshold on its
+  /// window.  Pieces tagged `skip_tag` are left out, with exactly the
+  /// result of a copy without them (their breakpoints only add probes
+  /// where the reduced aggregate is already probed).
+  [[nodiscard]] bool FitsUnder(const StepPiece& piece, double threshold,
+                               std::uint64_t skip_tag = kNoTag) const;
 
  private:
   /// Returns the cached sorted unique breakpoints, recomputing when stale.

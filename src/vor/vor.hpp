@@ -36,6 +36,7 @@
 #include "sim/cycle_driver.hpp"          // IWYU pragma: export
 #include "sim/playback_sim.hpp"          // IWYU pragma: export
 #include "sim/validator.hpp"             // IWYU pragma: export
+#include "storage/stream_load.hpp"       // IWYU pragma: export
 #include "storage/usage_timeline.hpp"    // IWYU pragma: export
 #include "util/interval.hpp"             // IWYU pragma: export
 #include "util/piecewise.hpp"            // IWYU pragma: export

@@ -19,7 +19,7 @@ namespace vor::core::reference {
 
 /// Resolves storage overflows in place, reading only `heat`,
 /// `victim_policy`, `capacity_aware_reschedule`, `ivsp` and
-/// `max_iterations` from `options` (regions, pool, hooks and metrics are
+/// `max_iterations` from `options` (regions, pool, streams and metrics are
 /// ignored).  Fills victims_rescheduled, evaluations,
 /// initial_overflow_windows, the excesses and the costs of the returned
 /// stats; the engine-internal counters stay zero.

@@ -4,6 +4,7 @@
 
 #include "core/ivsp.hpp"
 #include "sim/validator.hpp"
+#include "storage/stream_load.hpp"
 #include "test_helpers.hpp"
 
 namespace vor::core {
@@ -120,20 +121,16 @@ TEST(RejectiveTest, RouteHookVetoesCandidates) {
   const auto requests = CloseRequests();
   Schedule s = IvspSolve(requests, env.cm, IvspOptions{});
   const storage::UsageView empty;
-  // Veto every multi-hop route: only local (single-node) deliveries pass,
-  // which is impossible for the first request -> fallback direct.
-  std::size_t vetoes = 0;
+  // Link caps below one stream veto every multi-hop route: only local
+  // (single-node) deliveries pass, which is impossible for the first
+  // request -> fallback direct.
+  net::Topology capped = env.topo;
+  capped.SetUniformBandwidthCap(util::BytesPerSecond{1.0});
+  const storage::StreamLoadTracker streams(capped, env.catalog);
+  const storage::StreamView others = streams.ExcludingFile(0);
   const RescheduleResult result = RescheduleVictim(
-      s, 0, requests, env.cm, IvspOptions{}, {}, empty,
-      [&vetoes](const std::vector<net::NodeId>& route, util::Seconds,
-                media::VideoId) {
-        if (route.size() > 1) {
-          ++vetoes;
-          return false;
-        }
-        return true;
-      });
-  EXPECT_GT(vetoes, 0u);
+      s, 0, requests, env.cm, IvspOptions{}, {}, empty, &others);
+  EXPECT_GT(result.greedy.rejected_route, 0u);
   // The fallback serves everyone directly even against the veto.
   EXPECT_EQ(result.schedule.deliveries.size(), requests.size());
 }

@@ -130,24 +130,70 @@ TEST(SorpIncrementalTest, FirstContributorPolicyCannotHitMemo) {
   EXPECT_EQ(run.stats.evaluations, run.stats.victims_rescheduled);
 }
 
-TEST(SorpIncrementalTest, HooksDisableMemoization) {
-  // Extension hooks mutate external tracker state between rounds, which a
-  // cached replay would skip — the memo must stand down entirely.
-  const TightEnv env;
-  Schedule schedule = env.phase1;
-  SorpOptions options;
-  std::size_t excluded_calls = 0;
-  options.on_file_excluded = [&excluded_calls](std::size_t) {
-    ++excluded_calls;
+TEST(SorpIncrementalTest, CommittedVictimIsNeverReplayedFromMemo) {
+  // Star VW - IS1, VW - IS2; 1.5 GB storages.  File 0 (1 GB) is requested
+  // twice at IS2 and cached there, next to file 2's (1.2 GB) cache:
+  // overflow at IS2.  File 0 also carries a long extra residency at IS1
+  // that none of its requests or streams touch, next to file 1's cache:
+  // overflow at IS1.  Round 1 commits file 0 for the IS1 window (dropping
+  // the extra residency makes that free).  Its IS2 cache comes back
+  // unchanged, so round 2 re-offers file 0 for the same IS2 window, and
+  // none of the nodes its round-1 dry run consulted has moved: only the
+  // erase of the victim's own memo entries keeps the engine from
+  // replaying that run, whose overhead was priced against the old file.
+  net::Topology topo;
+  const net::NodeId vw = topo.AddWarehouse("VW");
+  const util::StorageRate srate{1.0 / (1e9 * 3600.0)};  // $1/(GB*h)
+  const net::NodeId is1 = topo.AddStorage("IS1", util::GB(1.5), srate);
+  const net::NodeId is2 = topo.AddStorage("IS2", util::GB(1.5), srate);
+  topo.AddLink(vw, is1, util::NetworkRate{10.0 / 1e9});
+  topo.AddLink(vw, is2, util::NetworkRate{10.0 / 1e9});
+  media::Catalog catalog;
+  for (const double gb : {1.0, 1.0, 1.2}) {
+    media::Video v;
+    v.title = "v" + std::to_string(catalog.size());
+    v.size = util::GB(gb);
+    v.playback = util::Hours(1.0);
+    v.bandwidth = v.size / v.playback;
+    catalog.Add(v);
+  }
+  const net::Router router(topo);
+  const CostModel cm(topo, router, catalog);
+  const std::vector<workload::Request> requests{
+      {0, 0, util::Hours(1.0), is2}, {1, 0, util::Hours(2.0), is2},
+      {2, 1, util::Hours(1.0), is1}, {3, 1, util::Hours(2.0), is1},
+      {4, 2, util::Hours(1.0), is2}, {5, 2, util::Hours(2.5), is2},
   };
-  const SorpStats stats =
-      SorpSolve(schedule, env.scenario.requests, *env.cm, options);
-  ASSERT_TRUE(stats.HadOverflow());
-  EXPECT_GT(stats.evaluations, 0u);
-  EXPECT_EQ(stats.memo_hits, 0u);
-  EXPECT_EQ(stats.memo_misses, 0u);
-  // Hooks fire around every dry run AND every commit — nothing skipped.
-  EXPECT_EQ(excluded_calls, stats.evaluations + stats.victims_rescheduled);
+  Schedule phase1 = IvspSolve(requests, cm, IvspOptions{});
+  ASSERT_EQ(phase1.files.size(), 3u);
+  Residency extra;
+  extra.video = 0;
+  extra.location = is1;
+  extra.source = vw;
+  extra.t_start = util::Hours(0.0);
+  extra.t_last = util::Hours(100.0);
+  phase1.files[0].residencies.push_back(extra);
+
+  // Capacity-unaware reschedules keep file 0's IS2 cache as it was; M3
+  // heat makes the stale replay (free, so +inf) beat file 2's true heat.
+  SorpOptions options;
+  options.capacity_aware_reschedule = false;
+  options.heat = HeatMetric::kTimeSpace;
+  Schedule oracle = phase1;
+  const SorpStats expected =
+      reference::SorpSolve(oracle, requests, cm, options);
+  for (const std::size_t threads : {1u, 2u}) {
+    std::unique_ptr<util::ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
+    options.pool = pool.get();
+    Schedule engine = phase1;
+    const SorpStats stats = SorpSolve(engine, requests, cm, options);
+    // Two rounds: four candidates, then file 0 and file 2 at IS2 again.
+    EXPECT_EQ(stats.evaluations, 6u);
+    EXPECT_EQ(stats.victims_rescheduled, 2u);
+    EXPECT_EQ(stats.victims_rescheduled, expected.victims_rescheduled);
+    EXPECT_EQ(io::ToJson(engine).Dump(2), io::ToJson(oracle).Dump(2));
+  }
 }
 
 TEST(SorpIncrementalTest, CapacityUnawareAblationStillMatchesReference) {
