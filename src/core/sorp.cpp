@@ -61,6 +61,7 @@ using MemoKey = std::tuple<std::size_t, net::NodeId, double, double>;
 /// scope: ScopedSpan paths are per-thread and would start fresh roots on
 /// pool workers.  Costs (stats.cost_*) are left at zero — TotalCost reads
 /// every file and is therefore computed only on the serial control path.
+/// Only the whole-schedule scope fills stats.node_peaks.
 SorpStats RunSorpLoop(Schedule& schedule,
                       const std::vector<workload::Request>& requests,
                       const CostModel& cost_model, const SorpOptions& options,
@@ -250,6 +251,10 @@ SorpStats RunSorpLoop(Schedule& schedule,
   }
 
   stats.final_excess = TotalExcess(tracker.usage(), cost_model.topology());
+  if (shard_files == nullptr) {
+    stats.node_peaks = storage::PeakUsageByNode(
+        tracker.usage(), cost_model.topology().node_count());
+  }
   obs::Add(metrics, "sorp.victims_rescheduled", stats.victims_rescheduled);
   obs::Add(metrics, "sorp.usage_rebuilds", stats.usage_rebuilds);
   return stats;
@@ -503,7 +508,7 @@ SorpStats RegionShardedSolve(Schedule& schedule,
   // establishes the authoritative final_excess.
   {
     const obs::ScopedSpan residual_span(metrics, "residual");
-    const SorpStats residual =
+    SorpStats residual =
         RunSorpLoop(schedule, requests, cost_model, options, pool, metrics,
                     /*shard_files=*/nullptr, /*round_spans=*/true);
     stats.victims_rescheduled += residual.victims_rescheduled;
@@ -512,6 +517,7 @@ SorpStats RegionShardedSolve(Schedule& schedule,
     stats.memo_misses += residual.memo_misses;
     stats.usage_rebuilds += residual.usage_rebuilds;
     stats.final_excess = residual.final_excess;
+    stats.node_peaks = std::move(residual.node_peaks);
     if (residual.victims_rescheduled > 0) {
       obs::Add(metrics, "sorp.regions.residual_victims",
                residual.victims_rescheduled);

@@ -160,6 +160,12 @@ struct SorpStats {
   std::size_t region_shards = 0;
   util::Money cost_before{0.0};
   util::Money cost_after{0.0};
+  /// Peak reserved bytes of the resolved schedule per node id (size
+  /// node_count): storage::PeakUsageByNode of its BuildUsage, read off
+  /// the loop's tracker, which equals that build piece for piece.  Lets a
+  /// caller that keeps the schedule (the reservation service's admission
+  /// estimate) skip rebuilding the aggregate.
+  std::vector<double> node_peaks;
   /// Byte-seconds above capacity before/after.
   double initial_excess = 0.0;
   double final_excess = 0.0;

@@ -7,22 +7,6 @@ namespace vor::storage {
 
 namespace {
 
-UsageMap BuildUsageImpl(const core::Schedule& schedule,
-                        const core::CostModel& cost_model,
-                        std::size_t excluded_file) {
-  UsageMap usage;
-  for (std::size_t f = 0; f < schedule.files.size(); ++f) {
-    if (f == excluded_file) continue;
-    const core::FileSchedule& file = schedule.files[f];
-    for (std::size_t r = 0; r < file.residencies.size(); ++r) {
-      const core::Residency& c = file.residencies[r];
-      const core::ResidencyRef ref{f, r};
-      usage[c.location].Add(cost_model.OccupancyPiece(c, ref.Pack()));
-    }
-  }
-  return usage;
-}
-
 void SortUnique(std::vector<net::NodeId>& nodes) {
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
@@ -36,18 +20,30 @@ bool TagBelongsTo(std::uint64_t tag, std::size_t file) {
 
 UsageMap BuildUsage(const core::Schedule& schedule,
                     const core::CostModel& cost_model) {
-  return BuildUsageImpl(schedule, cost_model, static_cast<std::size_t>(-1));
-}
-
-UsageMap BuildUsageExcludingFile(const core::Schedule& schedule,
-                                 const core::CostModel& cost_model,
-                                 std::size_t excluded_file) {
-  return BuildUsageImpl(schedule, cost_model, excluded_file);
+  UsageMap usage;
+  for (std::size_t f = 0; f < schedule.files.size(); ++f) {
+    const core::FileSchedule& file = schedule.files[f];
+    for (std::size_t r = 0; r < file.residencies.size(); ++r) {
+      const core::Residency& c = file.residencies[r];
+      const core::ResidencyRef ref{f, r};
+      usage[c.location].Add(cost_model.OccupancyPiece(c, ref.Pack()));
+    }
+  }
+  return usage;
 }
 
 double PeakUsage(const UsageMap& usage, net::NodeId node) {
   const auto it = usage.find(node);
   return it == usage.end() ? 0.0 : it->second.Max();
+}
+
+std::vector<double> PeakUsageByNode(const UsageMap& usage,
+                                    std::size_t node_count) {
+  std::vector<double> peaks(node_count, 0.0);
+  for (net::NodeId node = 0; node < node_count; ++node) {
+    peaks[node] = PeakUsage(usage, node);
+  }
+  return peaks;
 }
 
 const util::PiecewiseLinear* UsageView::Find(net::NodeId node) const {

@@ -9,10 +9,10 @@
 // and serves "usage excluding file f" as a subtractive UsageView without
 // touching other files' pieces.  The piece tags (ResidencyRef::Pack())
 // index every piece back to its (file, residency), which is what makes
-// the subtraction exact.  BuildUsage / BuildUsageExcludingFile rebuild
-// from scratch in O(total residencies); they serve one-shot callers
-// (validator, overflow detection, reports) and the tests that check the
-// tracker against a fresh build.
+// the subtraction exact.  BuildUsage rebuilds from scratch in
+// O(total residencies); it serves one-shot callers (validator, overflow
+// detection, reports) and the tests that check the tracker against a
+// fresh build.
 #pragma once
 
 #include <cstdint>
@@ -36,14 +36,12 @@ using UsageMap = std::unordered_map<net::NodeId, util::PiecewiseLinear>;
 [[nodiscard]] UsageMap BuildUsage(const core::Schedule& schedule,
                                   const core::CostModel& cost_model);
 
-/// Same, excluding all residencies of one file — the backdrop against
-/// which that file's rejective reschedule is capacity-checked.
-[[nodiscard]] UsageMap BuildUsageExcludingFile(const core::Schedule& schedule,
-                                               const core::CostModel& cost_model,
-                                               std::size_t excluded_file);
-
 /// Peak reserved bytes at a node (0 when the node has no residencies).
 [[nodiscard]] double PeakUsage(const UsageMap& usage, net::NodeId node);
+
+/// PeakUsage of every node id below `node_count`, indexed by node id.
+[[nodiscard]] std::vector<double> PeakUsageByNode(const UsageMap& usage,
+                                                  std::size_t node_count);
 
 /// Read-only view of a UsageMap, optionally with per-node overlays that
 /// shadow the base map (used to present "usage excluding file f" without

@@ -10,6 +10,22 @@
 
 namespace vor::core::reference {
 
+storage::UsageMap BuildUsageExcludingFile(const Schedule& schedule,
+                                          const CostModel& cost_model,
+                                          std::size_t excluded_file) {
+  storage::UsageMap usage;
+  for (std::size_t f = 0; f < schedule.files.size(); ++f) {
+    if (f == excluded_file) continue;
+    const FileSchedule& file = schedule.files[f];
+    for (std::size_t r = 0; r < file.residencies.size(); ++r) {
+      const Residency& c = file.residencies[r];
+      usage[c.location].Add(
+          cost_model.OccupancyPiece(c, ResidencyRef{f, r}.Pack()));
+    }
+  }
+  return usage;
+}
+
 SorpStats SorpSolve(Schedule& schedule,
                     const std::vector<workload::Request>& requests,
                     const CostModel& cost_model, const SorpOptions& options) {
@@ -42,8 +58,7 @@ SorpStats SorpSolve(Schedule& schedule,
       storage::UsageMap others;
       storage::UsageView backdrop;  // capacity-unaware: static check only
       if (options.capacity_aware_reschedule) {
-        others =
-            storage::BuildUsageExcludingFile(schedule, cost_model, c.file_index);
+        others = BuildUsageExcludingFile(schedule, cost_model, c.file_index);
         backdrop = storage::UsageView(&others);
       }
       RescheduleResult attempt =

@@ -13,9 +13,18 @@
 #include "core/cost_model.hpp"
 #include "core/schedule.hpp"
 #include "core/sorp.hpp"
+#include "storage/usage_timeline.hpp"
 #include "workload/request.hpp"
 
 namespace vor::core::reference {
+
+/// Aggregate usage of every residency except `excluded_file`'s, rebuilt
+/// from scratch — the backdrop the oracle checks a dry run against, and
+/// the reference for storage::UsageTracker::ExcludingFile.  Piece tags
+/// and per-node order are those of storage::BuildUsage.
+[[nodiscard]] storage::UsageMap BuildUsageExcludingFile(
+    const Schedule& schedule, const CostModel& cost_model,
+    std::size_t excluded_file);
 
 /// Resolves storage overflows in place, reading only `heat`,
 /// `victim_policy`, `capacity_aware_reschedule`, `ivsp` and

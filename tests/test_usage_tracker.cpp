@@ -15,6 +15,7 @@
 #include "core/overflow.hpp"
 #include "core/rejective_greedy.hpp"
 #include "net/routing.hpp"
+#include "sorp_reference.hpp"
 #include "workload/scenario.hpp"
 
 namespace vor::storage {
@@ -79,7 +80,8 @@ TEST(UsageTrackerTest, SubtractiveViewMatchesBuildUsageExcludingFile) {
   const UsageTracker tracker(env.schedule, *env.cm);
   for (std::size_t f = 0; f < env.schedule.files.size(); ++f) {
     if (env.schedule.files[f].residencies.empty()) continue;
-    const UsageMap reference = BuildUsageExcludingFile(env.schedule, *env.cm, f);
+    const UsageMap reference =
+        core::reference::BuildUsageExcludingFile(env.schedule, *env.cm, f);
     const UsageView view = tracker.ExcludingFile(f);
     for (net::NodeId node = 0; node < env.scenario.topology.node_count();
          ++node) {
@@ -244,7 +246,8 @@ TEST(UsageTrackerTest, OverlayIsCachedUntilAHostNodeChanges) {
   const util::PiecewiseLinear* c = after.Find(host);
   // The emptied file hosts no nodes, so the view reads the base aggregate
   // (no overlay); either way it must match a fresh exclusion build.
-  const UsageMap reference = BuildUsageExcludingFile(env.schedule, *env.cm, file);
+  const UsageMap reference =
+      core::reference::BuildUsageExcludingFile(env.schedule, *env.cm, file);
   const auto it = reference.find(host);
   if (it == reference.end()) {
     EXPECT_TRUE(c == nullptr || c->empty());
